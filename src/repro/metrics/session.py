@@ -30,9 +30,7 @@ from repro.metrics.roofline import (
     render_roofline,
 )
 from repro.simmpi.comm import SimComm
-from repro.simmpi.reorder import block_placement, round_robin_placement
-from repro.topology.fabric import TaihuLightFabric
-from repro.trace.session import replay_rhd
+from repro.trace.session import replay_rhd, session_layout
 from repro.trace.tracer import Tracer, emit_cost_spans, tracing
 from repro.utils.tables import Table
 from repro.utils.units import format_bytes, format_time
@@ -164,25 +162,16 @@ def collect_training_step(
     """Measure one simulated data-parallel training step of ``net``.
 
     Mirrors :func:`repro.trace.session.trace_training_step`'s workload and
-    placement rules. Layer costs feed the registry (and, when ``tracer``
+    shares its :func:`~repro.trace.session.session_layout` placement rules. Layer costs feed the registry (and, when ``tracer``
     is given, the span timeline) once per rank per iteration; the gradient
     allreduce runs through :func:`replay_rhd`, whose ``account_step`` hooks
     feed the ``comm.*`` counters.
     """
-    if ranks < 1:
-        raise ValueError("ranks must be >= 1")
-    if scheme not in ("improved", "original"):
-        raise ValueError(f"scheme must be 'improved' or 'original', got {scheme!r}")
+    fabric, placement = session_layout(ranks, scheme, nodes_per_supernode)
     p = params or SW_PARAMS
     mx = registry if registry is not None else MetricsRegistry()
     tr = tracer if tracer is not None else Tracer()
     emit_trace = tracer is not None
-
-    q = nodes_per_supernode
-    if q is None:
-        q = ranks // 2 if ranks % 2 == 0 and ranks > 2 else ranks
-    if ranks % q != 0:
-        raise ValueError(f"ranks={ranks} must be a multiple of nodes_per_supernode={q}")
 
     # Price every layer exactly once (plan search is deterministic but not
     # cheap); the same cost objects feed rows, counters and spans.
@@ -224,12 +213,6 @@ def collect_training_step(
                             )
 
         # --- allreduce phase ---------------------------------------------- #
-        fabric = TaihuLightFabric(n_nodes=ranks, nodes_per_supernode=q)
-        placement = (
-            round_robin_placement(ranks, q)
-            if scheme == "improved"
-            else block_placement(ranks, q)
-        )
         allreduce_s = 0.0
         steps = 0
         intra = cross = 0.0

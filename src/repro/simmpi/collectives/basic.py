@@ -13,11 +13,15 @@ time accrues on the communicator per lockstep step.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from repro.errors import CommunicatorError
 from repro.simmpi.comm import CollectiveResult, SimComm
 from repro.simmpi.collectives.reduce_ops import block_offsets, check_buffers
+from repro.simmpi.collectives.rhd import rhd_steps
+from repro.simmpi.collectives.schedule import run_steps
 
 
 def broadcast(comm: SimComm, buffers: list[np.ndarray], root: int = 0) -> CollectiveResult:
@@ -195,7 +199,7 @@ def allgather(comm: SimComm, buffers: list[np.ndarray], chunks: list[np.ndarray]
 
 
 def reduce_scatter(comm: SimComm, buffers: list[np.ndarray], outputs: list[np.ndarray]) -> CollectiveResult:
-    """Recursive-halving reduce-scatter.
+    """Recursive-halving reduce-scatter: the first half of RHD's schedule.
 
     After the call, ``outputs[r]`` holds the r-th block of the elementwise
     sum of all input buffers. Power-of-two rank counts only (the fused
@@ -213,31 +217,9 @@ def reduce_scatter(comm: SimComm, buffers: list[np.ndarray], outputs: list[np.nd
             raise CommunicatorError(
                 f"rank {r} output must hold {off[r + 1] - off[r]} elements"
             )
-    result = CollectiveResult()
     work = [b.astype(np.float64, copy=True).ravel() for b in buffers]
-    lo = [0] * p
-    hi = [p] * p
-    d = p // 2
-    while d >= 1:
-        pairs = []
-        reduces = []
-        max_reduce = 0.0
-        for v in range(p):
-            w = v ^ d
-            if w < v:
-                continue
-            mid = (lo[v] + hi[v]) // 2
-            send_v = float((off[hi[v]] - off[mid]) * itemsize)
-            send_w = float((off[mid] - off[lo[v]]) * itemsize)
-            pairs.append((v, w, max(send_v, send_w)))
-            reduces.append((v, lo[v], mid, work[w][off[lo[v]] : off[mid]].copy()))
-            reduces.append((w, mid, hi[v], work[v][off[mid] : off[hi[v]]].copy()))
-            max_reduce = max(max_reduce, send_v, send_w)
-        for v, new_lo, new_hi, data in reduces:
-            work[v][off[new_lo] : off[new_hi]] += data
-            lo[v], hi[v] = new_lo, new_hi
-        comm.account_step(result, pairs, reduce_bytes=max_reduce)
-        d //= 2
+    halving = islice(rhd_steps(p, n, itemsize), p.bit_length() - 1)
+    result = run_steps(comm, work, halving)
     for r in range(p):
         np.copyto(
             outputs[r].reshape(-1),

@@ -8,11 +8,31 @@ reference and as a correctness cross-check for the fancier algorithms.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.metrics.registry import active as _metrics
 from repro.simmpi.comm import CollectiveResult, SimComm
-from repro.simmpi.collectives.reduce_ops import check_buffers, finalize
+from repro.simmpi.collectives.schedule import Step, execute
+
+
+def binomial_steps(p: int, n: int, itemsize: int) -> Iterator[Step]:
+    """Step list of the binomial-tree allreduce of ``n`` elements over ``p`` ranks."""
+    nbytes = float(n * itemsize)
+    # Reduce phase: at distance d, ranks r with r % 2d == d send to r - d.
+    d = 1
+    while d < p:
+        src = range(d, p, 2 * d)
+        pairs = tuple((r, r - d, nbytes) for r in src)
+        yield Step(pairs, nbytes, tuple((r - d, r, 0, n, True) for r in src))
+        d *= 2
+    # Broadcast phase: mirror of the reduce tree, largest distance first.
+    while d > 1:
+        d //= 2
+        src = range(0, p - d, 2 * d)
+        pairs = tuple((r, r + d, nbytes) for r in src)
+        yield Step(pairs, 0.0, tuple((r + d, r, 0, n, False) for r in src))
 
 
 def binomial_allreduce(
@@ -20,52 +40,4 @@ def binomial_allreduce(
 ) -> CollectiveResult:
     """In-place binomial-tree allreduce (works for any rank count)."""
     with _metrics().labelled(collective="binomial"):
-        return _binomial_allreduce(comm, buffers, average=average)
-
-
-def _binomial_allreduce(
-    comm: SimComm, buffers: list[np.ndarray], *, average: bool = False
-) -> CollectiveResult:
-    p = comm.p
-    if len(buffers) != p:
-        raise ValueError(f"expected {p} buffers, got {len(buffers)}")
-    n, itemsize = check_buffers(buffers)
-    result = CollectiveResult()
-    work = [np.array(b, dtype=np.float64, copy=True).ravel() for b in buffers]
-    nbytes = float(n * itemsize)
-
-    # Reduce phase: at distance d, ranks r with r % 2d == d send to r - d.
-    d = 1
-    while d < p:
-        pairs = []
-        moves: list[tuple[int, np.ndarray]] = []
-        for r in range(p):
-            if r % (2 * d) == d:
-                dst = r - d
-                pairs.append((r, dst, nbytes))
-                moves.append((dst, work[r]))
-        for dst, data in moves:
-            work[dst] = work[dst] + data
-        if pairs:
-            comm.account_step(result, pairs, reduce_bytes=nbytes)
-        d *= 2
-
-    # Broadcast phase: mirror of the reduce tree, largest distance first.
-    d = 1
-    while d * 2 < p:
-        d *= 2
-    while d >= 1:
-        pairs = []
-        moves = []
-        for r in range(p):
-            if r % (2 * d) == 0 and r + d < p:
-                pairs.append((r, r + d, nbytes))
-                moves.append((r + d, work[r]))
-        for dst, data in moves:
-            work[dst] = data.copy()
-        if pairs:
-            comm.account_step(result, pairs)
-        d //= 2
-
-    finalize(buffers, work, average)
-    return result
+        return execute(comm, buffers, binomial_steps, average=average)

@@ -38,14 +38,3 @@ def block_offsets(n: int, k: int) -> np.ndarray:
     sizes[:extra] += 1
     return np.concatenate([[0], np.cumsum(sizes)])
 
-
-def finalize(
-    buffers: list[np.ndarray], reduced: list[np.ndarray], average: bool
-) -> None:
-    """Write per-rank reduced vectors back into the caller's buffers."""
-    p = len(buffers)
-    for dst, src in zip(buffers, reduced):
-        out = src.reshape(dst.shape)
-        if average:
-            out = out / p
-        np.copyto(dst, out.astype(dst.dtype, copy=False))

@@ -17,22 +17,87 @@ algorithm (see :mod:`repro.simmpi.collectives.topo_aware`).
 Non-power-of-two rank counts use the standard MPICH fold: the first
 ``2 * (p - 2^k)`` ranks pre-combine pairwise so a power-of-two subset runs
 the core algorithm, and the folded ranks receive the result afterwards.
+
+:func:`rhd_steps` is the one copy of this schedule: :func:`rhd_allreduce`
+and ``basic.reduce_scatter`` execute it, ``trace.session.replay_rhd`` only
+charges it (see :mod:`~repro.simmpi.collectives.schedule`).
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
 from repro.metrics.registry import active as _metrics
 from repro.simmpi.comm import CollectiveResult, SimComm
-from repro.simmpi.collectives.reduce_ops import block_offsets, check_buffers, finalize
+from repro.simmpi.collectives.reduce_ops import block_offsets
+from repro.simmpi.collectives.schedule import Step, execute
 
 
 def _largest_pow2_leq(p: int) -> int:
-    k = 1
-    while k * 2 <= p:
-        k *= 2
-    return k
+    return 1 << (p.bit_length() - 1)
+
+
+def rhd_steps(p: int, n: int, itemsize: int) -> Iterator[Step]:
+    """Step list of the RHD allreduce of ``n`` elements over ``p`` ranks.
+
+    For a power-of-two ``p`` the first ``log2(p)`` steps are the
+    recursive-halving reduce-scatter, after which rank ``v`` owns block
+    ``v`` of the MPICH split.
+    """
+    if p == 1:
+        return
+    full = float(n * itemsize)
+    k = _largest_pow2_leq(p)
+    r = p - k
+    fold = tuple((2 * i, 2 * i + 1, full) for i in range(r))
+    if r > 0:
+        yield Step(fold, full, tuple((2 * i, 2 * i + 1, 0, n, True) for i in range(r)))
+    active = [2 * i for i in range(r)] + list(range(2 * r, p))
+    off = block_offsets(n, k).tolist()
+    # Virtual rank v runs on active[v] and holds blocks [lo[v], hi[v]).
+    lo, hi = [0] * k, [k] * k
+
+    # --- reduce-scatter: recursive halving --------------------------------
+    d = k // 2
+    while d >= 1:
+        pairs, moves = [], []
+        for v in range(k):
+            w = v ^ d
+            if w < v:
+                continue
+            # v and w share [lo, hi); v (bit clear) keeps the lower half
+            # and reduces w's copy of it, w the upper half.
+            half = (lo[v] + hi[v]) // 2
+            a, mid, b = off[lo[v]], off[half], off[hi[v]]
+            pairs.append((active[v], active[w], float(max(b - mid, mid - a) * itemsize)))
+            moves += [(active[v], active[w], a, mid, True), (active[w], active[v], mid, b, True)]
+            lo[w] = hi[v] = half
+        yield Step(tuple(pairs), max(nb for _, _, nb in pairs), tuple(moves))
+        d //= 2
+
+    # --- allgather: recursive doubling ------------------------------------
+    d = 1
+    while d < k:
+        pairs, moves = [], []
+        for v in range(k):
+            w = v ^ d
+            if w < v:
+                continue
+            nb_v, nb_w = off[hi[v]] - off[lo[v]], off[hi[w]] - off[lo[w]]
+            pairs.append((active[v], active[w], float(max(nb_v, nb_w) * itemsize)))
+            moves += [
+                (active[v], active[w], off[lo[w]], off[hi[w]], False),
+                (active[w], active[v], off[lo[v]], off[hi[v]], False),
+            ]
+            lo[v] = lo[w] = min(lo[v], lo[w])
+            hi[v] = hi[w] = max(hi[v], hi[w])
+        yield Step(tuple(pairs), 0.0, tuple(moves))
+        d *= 2
+
+    if r > 0:  # unfold
+        yield Step(fold, 0.0, tuple((2 * i + 1, 2 * i, 0, n, False) for i in range(r)))
 
 
 def rhd_allreduce(
@@ -40,104 +105,4 @@ def rhd_allreduce(
 ) -> CollectiveResult:
     """In-place recursive halving/doubling allreduce."""
     with _metrics().labelled(collective="rhd"):
-        return _rhd_allreduce(comm, buffers, average=average)
-
-
-def _rhd_allreduce(
-    comm: SimComm, buffers: list[np.ndarray], *, average: bool = False
-) -> CollectiveResult:
-    p = comm.p
-    if len(buffers) != p:
-        raise ValueError(f"expected {p} buffers, got {len(buffers)}")
-    n, itemsize = check_buffers(buffers)
-    result = CollectiveResult()
-    work = [np.array(b, dtype=np.float64, copy=True).ravel() for b in buffers]
-    if p == 1:
-        finalize(buffers, work, average)
-        return result
-    nbytes_full = float(n * itemsize)
-
-    # --- fold down to a power of two -------------------------------------
-    k = _largest_pow2_leq(p)
-    r = p - k
-    if r > 0:
-        pairs = [(2 * i, 2 * i + 1, nbytes_full) for i in range(r)]
-        for i in range(r):
-            work[2 * i] = work[2 * i] + work[2 * i + 1]
-        comm.account_step(result, pairs, reduce_bytes=nbytes_full)
-        active = [2 * i for i in range(r)] + list(range(2 * r, p))
-    else:
-        active = list(range(p))
-
-    # --- reduce-scatter: recursive halving --------------------------------
-    off = block_offsets(n, k)
-
-    def span_bytes(lo: int, hi: int) -> float:
-        return float((off[hi] - off[lo]) * itemsize)
-
-    lo = [0] * k
-    hi = [k] * k
-    d = k // 2
-    while d >= 1:
-        pairs = []
-        reduces: list[tuple[int, int, int, np.ndarray]] = []  # (v, lo, hi, data)
-        max_msg = 0.0
-        max_reduce = 0.0
-        for v in range(k):
-            w = v ^ d
-            if w < v:
-                continue
-            # v and w share [lo, hi); v (bit clear) keeps the lower half.
-            assert lo[v] == lo[w] and hi[v] == hi[w]
-            mid = (lo[v] + hi[v]) // 2
-            send_v = span_bytes(mid, hi[v])  # v's upper half goes to w
-            send_w = span_bytes(lo[v], mid)  # w's lower half goes to v
-            msg = max(send_v, send_w)
-            pairs.append((active[v], active[w], msg))
-            max_msg = max(max_msg, msg)
-            # Data exchanged, then each side reduces its kept half.
-            v_keep = slice(off[lo[v]], off[mid])
-            w_keep = slice(off[mid], off[hi[v]])
-            reduces.append((v, lo[v], mid, work[active[w]][v_keep].copy()))
-            reduces.append((w, mid, hi[v], work[active[v]][w_keep].copy()))
-            max_reduce = max(max_reduce, send_v, send_w)
-        for v, new_lo, new_hi, data in reduces:
-            work[active[v]][off[new_lo] : off[new_hi]] += data
-            lo[v], hi[v] = new_lo, new_hi
-        comm.account_step(result, pairs, reduce_bytes=max_reduce)
-        d //= 2
-
-    # --- allgather: recursive doubling ------------------------------------
-    d = 1
-    while d < k:
-        pairs = []
-        copies: list[tuple[int, int, int, np.ndarray]] = []
-        for v in range(k):
-            w = v ^ d
-            if w < v:
-                continue
-            send_v = span_bytes(lo[v], hi[v])
-            send_w = span_bytes(lo[w], hi[w])
-            pairs.append((active[v], active[w], max(send_v, send_w)))
-            copies.append((v, lo[w], hi[w], work[active[w]][off[lo[w]] : off[hi[w]]].copy()))
-            copies.append((w, lo[v], hi[v], work[active[v]][off[lo[v]] : off[hi[v]]].copy()))
-        merged: dict[int, tuple[int, int]] = {}
-        for v, got_lo, got_hi, data in copies:
-            work[active[v]][off[got_lo] : off[got_hi]] = data
-            new_lo = min(lo[v], got_lo)
-            new_hi = max(hi[v], got_hi)
-            merged[v] = (new_lo, new_hi)
-        for v, (nlo, nhi) in merged.items():
-            lo[v], hi[v] = nlo, nhi
-        comm.account_step(result, pairs)
-        d *= 2
-
-    # --- unfold ------------------------------------------------------------
-    if r > 0:
-        pairs = [(2 * i, 2 * i + 1, nbytes_full) for i in range(r)]
-        for i in range(r):
-            work[2 * i + 1] = work[2 * i].copy()
-        comm.account_step(result, pairs)
-
-    finalize(buffers, work, average)
-    return result
+        return execute(comm, buffers, rhd_steps, average=average)

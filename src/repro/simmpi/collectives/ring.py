@@ -8,73 +8,41 @@ candidates").
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.metrics.registry import active as _metrics
 from repro.simmpi.comm import CollectiveResult, SimComm
-from repro.simmpi.collectives.reduce_ops import block_offsets, check_buffers, finalize
+from repro.simmpi.collectives.reduce_ops import block_offsets
+from repro.simmpi.collectives.schedule import Step, execute
 
+
+def ring_steps(p: int, n: int, itemsize: int) -> Iterator[Step]:
+    """Step list of the ring allreduce of ``n`` elements over ``p`` ranks.
+
+    Phase 1 (reduce-scatter): p-1 steps; in step ``t`` rank ``r`` sends
+    chunk ``(r - t) mod p`` to rank ``r+1``, which reduces it. Phase 2
+    (allgather): p-1 more steps circulating the finished chunks — rank
+    ``r`` owns chunk ``(r + 1) mod p``. Every step moves ~n/p bytes per rank.
+    """
+    off = block_offsets(n, p).tolist()
+    for first, reduce in ((0, True), (1, False)):
+        for t in range(p - 1):
+            chunks = [(r + first - t) % p for r in range(p)]
+            pairs = tuple(
+                (r, (r + 1) % p, float((off[c + 1] - off[c]) * itemsize))
+                for r, c in enumerate(chunks)
+            )
+            moves = tuple(
+                ((r + 1) % p, r, off[c], off[c + 1], reduce) for r, c in enumerate(chunks)
+            )
+            # All ranks reduce their received chunk concurrently.
+            yield Step(pairs, max(nb for _, _, nb in pairs) if reduce else 0.0, moves)
 
 def ring_allreduce(
     comm: SimComm, buffers: list[np.ndarray], *, average: bool = False
 ) -> CollectiveResult:
-    """In-place ring allreduce across ``comm.p`` ranks.
-
-    Phase 1 (reduce-scatter): p-1 steps; in step ``t`` rank ``r`` sends
-    chunk ``(r - t) mod p`` to rank ``r+1`` and reduces the chunk arriving
-    from ``r-1``. Phase 2 (allgather): p-1 more steps circulating the
-    finished chunks. Every step moves ~n/p bytes per rank.
-    """
+    """In-place ring allreduce across ``comm.p`` ranks (see :func:`ring_steps`)."""
     with _metrics().labelled(collective="ring"):
-        return _ring_allreduce(comm, buffers, average=average)
-
-
-def _ring_allreduce(
-    comm: SimComm, buffers: list[np.ndarray], *, average: bool = False
-) -> CollectiveResult:
-    p = comm.p
-    if len(buffers) != p:
-        raise ValueError(f"expected {p} buffers, got {len(buffers)}")
-    n, itemsize = check_buffers(buffers)
-    result = CollectiveResult()
-    work = [np.array(b, dtype=np.float64, copy=True).ravel() for b in buffers]
-    if p == 1:
-        finalize(buffers, work, average)
-        return result
-    off = block_offsets(n, p)
-
-    def chunk(rank_owner: int) -> slice:
-        return slice(off[rank_owner], off[rank_owner + 1])
-
-    # Reduce-scatter around the ring.
-    for t in range(p - 1):
-        pairs = []
-        moves_rs: list[tuple[int, int, np.ndarray]] = []  # (dst, chunk_id, data)
-        for r in range(p):
-            send_chunk = (r - t) % p
-            nbytes = (off[send_chunk + 1] - off[send_chunk]) * itemsize
-            dst = (r + 1) % p
-            pairs.append((r, dst, float(nbytes)))
-            moves_rs.append((dst, send_chunk, work[r][chunk(send_chunk)].copy()))
-        max_chunk_bytes = max(nb for _, _, nb in pairs)
-        # All ranks reduce their received chunk concurrently.
-        for dst, c, data in moves_rs:
-            work[dst][chunk(c)] += data
-        comm.account_step(result, pairs, reduce_bytes=max_chunk_bytes)
-
-    # Allgather around the ring: rank r owns finished chunk (r + 1) mod p.
-    for t in range(p - 1):
-        pairs = []
-        moves: list[tuple[int, int, np.ndarray]] = []
-        for r in range(p):
-            send_chunk = (r + 1 - t) % p
-            nbytes = (off[send_chunk + 1] - off[send_chunk]) * itemsize
-            dst = (r + 1) % p
-            pairs.append((r, dst, float(nbytes)))
-            moves.append((dst, send_chunk, work[r][chunk(send_chunk)].copy()))
-        for dst, c, data in moves:
-            work[dst][chunk(c)] = data
-        comm.account_step(result, pairs)
-
-    finalize(buffers, work, average)
-    return result
+        return execute(comm, buffers, ring_steps, average=average)

@@ -16,7 +16,8 @@ import numpy as np
 
 from repro.metrics.registry import active as _metrics
 from repro.simmpi.comm import CollectiveResult, SimComm
-from repro.simmpi.collectives.rhd import _rhd_allreduce
+from repro.simmpi.collectives.rhd import rhd_steps
+from repro.simmpi.collectives.schedule import execute
 from repro.simmpi.reorder import round_robin_placement
 from repro.topology.fabric import TaihuLightFabric
 from repro.topology.cost_model import LinearCostModel
@@ -52,14 +53,16 @@ def topo_aware_allreduce(
     If ``comm`` already carries a round-robin placement it is used as-is;
     otherwise a renumbered clone (same fabric, same cost model) is created,
     matching how swCaffe installs its communicator once at startup. The
-    clone's simulated time is folded back into ``comm.clock``.
+    clone inherits ``comm``'s crashed ranks and timeout, and its simulated
+    time is folded back into ``comm.clock``.
     """
     with _metrics().labelled(collective="topo_aware"):
         if comm.placement.name == "round-robin":
-            return _rhd_allreduce(comm, buffers, average=average)
+            return execute(comm, buffers, rhd_steps, average=average)
         renumbered = make_topo_aware_comm(
             comm.fabric, comm.p, cost=comm.cost, gamma=comm.gamma
         )
-        result = _rhd_allreduce(renumbered, buffers, average=average)
+        renumbered.failed_ranks, renumbered.timeout_s = comm.failed_ranks, comm.timeout_s
+        result = execute(renumbered, buffers, rhd_steps, average=average)
         comm.clock.advance(renumbered.clock.now, category="comm")
         return result

@@ -13,6 +13,7 @@ offloaded to the four CPE clusters it streams at DMA bandwidth.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import CollectiveTimeout
@@ -137,7 +138,7 @@ class SimComm:
     def account_step(
         self,
         result: CollectiveResult,
-        pairs: list[tuple[int, int, float]],
+        pairs: Sequence[tuple[int, int, float]],
         *,
         reduce_bytes: float = 0.0,
     ) -> None:

@@ -14,6 +14,10 @@ For each configuration the fuzzer:
 3. executes the plan's functional path(s) against the dense reference and
    records the maximum ulp / absolute mismatch.
 
+Collectives whose registry entry names a step-list generator
+(``registry.SCHEDULES``) must also charge identically when that step list
+is only accounted, on a fresh communicator.
+
 A configuration *passes* when every comparison is within the spec's
 tolerance and every invariant holds; otherwise the report carries the
 failing label and the seed string to reproduce it.
@@ -27,6 +31,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.simmpi.collectives.schedule import account
 from repro.testing import registry
 from repro.testing.invariants import InvariantViolation, check_collective_result, check_plan
 
@@ -214,6 +219,13 @@ def run_collective_case(
     except InvariantViolation as exc:
         report.ok = False
         report.failures.append(f"invariant: {exc}")
+    schedule = registry.SCHEDULES.get(spec.name)
+    if schedule is not None:
+        charged = account(registry.make_fuzz_comm(p), schedule(p, n, inputs[0].itemsize))
+        differs = [k for k, v in vars(result).items() if vars(charged)[k] != v]
+        if differs:
+            report.ok = False
+            report.failures.append(f"accounting replay differs from execution in {differs}")
     expected = spec.reference(inputs, config)
     if len(outputs) != len(expected):
         report.ok = False

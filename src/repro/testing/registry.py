@@ -43,10 +43,11 @@ from repro.simmpi.collectives.basic import (
     reduce_scatter,
     scatter,
 )
-from repro.simmpi.collectives.binomial import binomial_allreduce
+from repro.simmpi.collectives.binomial import binomial_allreduce, binomial_steps
 from repro.simmpi.collectives.reduce_ops import block_offsets
-from repro.simmpi.collectives.rhd import rhd_allreduce
-from repro.simmpi.collectives.ring import ring_allreduce
+from repro.simmpi.collectives.rhd import rhd_allreduce, rhd_steps
+from repro.simmpi.collectives.ring import ring_allreduce, ring_steps
+from repro.simmpi.collectives.schedule import Schedule
 from repro.simmpi.collectives.topo_aware import topo_aware_allreduce
 from repro.simmpi.collectives.tuned import tuned_allreduce
 from repro.simmpi.comm import CollectiveResult, SimComm
@@ -603,6 +604,14 @@ for _name, _fn in [
     ("tuned_allreduce", tuned_allreduce),
 ]:
     register_collective(_allreduce_spec(_name, _fn))
+
+#: Step lists of the single-schedule allreduce specs: the fuzzer requires
+#: accounting them to charge exactly what executing them charged.
+SCHEDULES: dict[str, Schedule] = {
+    "ring_allreduce": ring_steps,
+    "binomial_allreduce": binomial_steps,
+    "rhd_allreduce": rhd_steps,
+}
 
 
 def _broadcast_execute(comm, inputs, cfg):

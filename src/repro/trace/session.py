@@ -7,110 +7,57 @@ plans), then the ranks synchronize gradients with the recursive
 halving/doubling allreduce over the TaihuLight fabric, placed after the
 compute phase on the shared timeline.
 
-The collective is traced through :func:`replay_rhd` — a schedule-accurate
-*accounting replay* of :func:`~repro.simmpi.collectives.rhd.rhd_allreduce`
-that walks the identical step/pair/byte structure through
-``SimComm.account_step`` without materializing the gradient buffers (a
-VGG-16 payload is 0.5 GB per rank; the replay prices it in microseconds).
-``tests/test_trace_integration.py`` pins replay-vs-executed equality.
+The collective is traced through :func:`replay_rhd`: the accounting
+interpreter :func:`~repro.simmpi.collectives.schedule.account` charges
+the RHD step list that :func:`~repro.simmpi.collectives.rhd.rhd_allreduce`
+executes, without materializing the gradient buffers (a VGG-16 payload is
+0.5 GB per rank; the replay prices it in milliseconds).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.simmpi.collectives.reduce_ops import block_offsets
+from repro.simmpi.collectives.rhd import rhd_steps
+from repro.simmpi.collectives.schedule import account
 from repro.simmpi.comm import CollectiveResult, SimComm
+from repro.simmpi.process import Placement
 from repro.simmpi.reorder import block_placement, round_robin_placement
 from repro.topology.fabric import TaihuLightFabric
 from repro.trace.scaling import active as _scaling
 from repro.trace.tracer import Span, Tracer, active, emit_cost_spans, suspended, tracing
 
 
-def _largest_pow2_leq(p: int) -> int:
-    k = 1
-    while k * 2 <= p:
-        k *= 2
-    return k
-
-
 def replay_rhd(comm: SimComm, nbytes: float, *, itemsize: int = 4) -> CollectiveResult:
     """Accounting-only recursive halving/doubling allreduce.
 
-    Charges ``comm`` with exactly the steps, pairs and byte counts that
-    :func:`~repro.simmpi.collectives.rhd.rhd_allreduce` charges for a
-    payload of ``nbytes`` (``nbytes / itemsize`` elements), including the
-    non-power-of-two fold/unfold and MPICH's near-equal block splits — but
-    moves no data, so arbitrarily large gradients trace cheaply.
+    Charges ``comm`` for :func:`~repro.simmpi.collectives.rhd.rhd_steps` over
+    ``nbytes / itemsize`` elements but moves no data, so arbitrarily large
+    gradients trace cheaply.
     """
-    p = comm.p
     n = max(1, int(round(float(nbytes) / itemsize)))
-    result = CollectiveResult()
-    if p == 1:
-        return result
-    nbytes_full = float(n * itemsize)
+    return account(comm, rhd_steps(comm.p, n, itemsize))
 
-    # --- fold down to a power of two -------------------------------------
-    k = _largest_pow2_leq(p)
-    r = p - k
-    if r > 0:
-        pairs = [(2 * i, 2 * i + 1, nbytes_full) for i in range(r)]
-        comm.account_step(result, pairs, reduce_bytes=nbytes_full)
-        active_ranks = [2 * i for i in range(r)] + list(range(2 * r, p))
-    else:
-        active_ranks = list(range(p))
 
-    off = block_offsets(n, k)
+def session_layout(
+    ranks: int, scheme: str, nodes_per_supernode: int | None
+) -> tuple[TaihuLightFabric, Placement]:
+    """Fabric and placement (round-robin if ``"improved"``, else block) of a session.
 
-    def span_bytes(lo_blk: int, hi_blk: int) -> float:
-        return float((off[hi_blk] - off[lo_blk]) * itemsize)
-
-    # --- reduce-scatter: recursive halving --------------------------------
-    lo = [0] * k
-    hi = [k] * k
-    d = k // 2
-    while d >= 1:
-        pairs = []
-        max_reduce = 0.0
-        for v in range(k):
-            w = v ^ d
-            if w < v:
-                continue
-            mid = (lo[v] + hi[v]) // 2
-            send_v = span_bytes(mid, hi[v])
-            send_w = span_bytes(lo[v], mid)
-            pairs.append((active_ranks[v], active_ranks[w], max(send_v, send_w)))
-            max_reduce = max(max_reduce, send_v, send_w)
-            lo[v], hi[v] = lo[v], mid
-            lo[w], hi[w] = mid, hi[w]
-        comm.account_step(result, pairs, reduce_bytes=max_reduce)
-        d //= 2
-
-    # --- allgather: recursive doubling ------------------------------------
-    d = 1
-    while d < k:
-        pairs = []
-        merged: dict[int, tuple[int, int]] = {}
-        for v in range(k):
-            w = v ^ d
-            if w < v:
-                continue
-            send_v = span_bytes(lo[v], hi[v])
-            send_w = span_bytes(lo[w], hi[w])
-            pairs.append((active_ranks[v], active_ranks[w], max(send_v, send_w)))
-            span = (min(lo[v], lo[w]), max(hi[v], hi[w]))
-            merged[v] = span
-            merged[w] = span
-        for v, (nlo, nhi) in merged.items():
-            lo[v], hi[v] = nlo, nhi
-        comm.account_step(result, pairs)
-        d *= 2
-
-    # --- unfold ------------------------------------------------------------
-    if r > 0:
-        pairs = [(2 * i, 2 * i + 1, nbytes_full) for i in range(r)]
-        comm.account_step(result, pairs)
-    return result
+    The supernode size defaults to two supernodes' worth, so cross-supernode
+    steps show up, or one supernode for tiny or odd rank counts.
+    """
+    if ranks < 1:
+        raise ValueError("ranks must be >= 1")
+    if scheme not in ("improved", "original"):
+        raise ValueError(f"scheme must be 'improved' or 'original', got {scheme!r}")
+    q = nodes_per_supernode
+    if q is None:
+        q = ranks // 2 if ranks % 2 == 0 and ranks > 2 else ranks
+    if ranks % q != 0:
+        raise ValueError(f"ranks={ranks} must be a multiple of nodes_per_supernode={q}")
+    place = round_robin_placement if scheme == "improved" else block_placement
+    return TaihuLightFabric(n_nodes=ranks, nodes_per_supernode=q), place(ranks, q)
 
 
 def trace_net_iteration(net, tracer: Tracer | None = None) -> float:
@@ -211,27 +158,9 @@ def trace_training_step(
     fabric with ``round-robin`` (``scheme="improved"``) or ``block``
     (``scheme="original"``) rank placement.
     """
-    if ranks < 1:
-        raise ValueError("ranks must be >= 1")
-    if scheme not in ("improved", "original"):
-        raise ValueError(f"scheme must be 'improved' or 'original', got {scheme!r}")
+    fabric, placement = session_layout(ranks, scheme, nodes_per_supernode)
     tr = tracer if tracer is not None else Tracer()
-
-    q = nodes_per_supernode
-    if q is None:
-        # Prefer a layout with >= 2 supernodes so cross-supernode steps
-        # show up; fall back to one supernode for tiny/odd rank counts.
-        q = ranks // 2 if ranks % 2 == 0 and ranks > 2 else ranks
-    if ranks % q != 0:
-        raise ValueError(f"ranks={ranks} must be a multiple of nodes_per_supernode={q}")
-
     payload = float(net.param_bytes())
-    fabric = TaihuLightFabric(n_nodes=ranks, nodes_per_supernode=q)
-    placement = (
-        round_robin_placement(ranks, q)
-        if scheme == "improved"
-        else block_placement(ranks, q)
-    )
     compute_s = 0.0
     allreduce_s = 0.0
     steps = 0

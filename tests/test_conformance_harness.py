@@ -184,6 +184,25 @@ class TestDifferentialCatchesBrokenCollectives:
                 continue  # identity is correct for a single rank
             assert not report.ok, str(report)
 
+    def test_accounting_divergence_is_caught(self, monkeypatch):
+        from repro.simmpi.collectives.binomial import binomial_steps
+        from repro.testing import registry
+
+        # The RHD spec still executes RHD, but its registered step list is
+        # now the binomial tree's: the accounting cross-check must fire.
+        monkeypatch.setitem(registry.SCHEDULES, "rhd_allreduce", binomial_steps)
+        spec = registry.get_collective("rhd_allreduce")
+        caught = 0
+        for i in range(5):
+            report = run_collective_case(spec, index=i)
+            if report.config["p"] == 1:
+                continue  # no steps at all: the schedules coincide
+            assert not report.ok, str(report)
+            assert any("accounting replay" in f for f in report.failures)
+            assert report.seed in str(report)
+            caught += 1
+        assert caught
+
 
 class TestSeedStrings:
     def test_round_trip(self):

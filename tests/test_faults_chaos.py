@@ -18,6 +18,7 @@ replayed across this module):
 import numpy as np
 import pytest
 
+from repro.errors import CollectiveTimeout
 from repro.faults import (
     NULL_INJECTOR,
     PROFILES,
@@ -37,7 +38,7 @@ from repro.frame.layers import (
 )
 from repro.frame.net import Net
 from repro.parallel.trainer import DistributedTrainer
-from repro.simmpi.collectives import rhd_allreduce
+from repro.simmpi.collectives import rhd_allreduce, topo_aware_allreduce
 from repro.testing.registry import make_fuzz_comm
 from repro.utils.rng import seeded_rng
 
@@ -335,3 +336,34 @@ def test_crash_between_bucket_launches_recovers_bitwise(tmp_path):
     assert np.array_equal(
         trainer.packers[0].pack_data(), ref.packers[0].pack_data()
     ), "bucketed crash recovery diverged from the fault-free reference"
+
+
+# --------------------------------------------------------------------------- #
+# topology-aware allreduce sees crashed ranks
+# --------------------------------------------------------------------------- #
+def test_topo_aware_times_out_on_dead_rank_of_block_comm():
+    """The round-robin clone of a block-placed comm keeps its dead ranks."""
+    comm = DistributedTrainer(make_factory(4), 4, algorithm="topo-aware").comm
+    assert comm.placement.name == "block"
+    comm.failed_ranks = frozenset({2})
+    comm.timeout_s = 5e-3
+    bufs = [np.ones(16) for _ in range(4)]
+    with pytest.raises(CollectiveTimeout) as info:
+        topo_aware_allreduce(comm, bufs, average=True)
+    assert info.value.ranks == frozenset({2})
+
+
+def test_topo_aware_crash_recovery_shrinks_roster(tmp_path):
+    """The trainer's default algorithm recovers from a planned crash."""
+    ranks, iterations, seed = 4, 6, "crash:0x5caffe:1"
+    report = run_chaos(
+        make_factory(ranks),
+        ranks=ranks,
+        iterations=iterations,
+        seed=seed,
+        algorithm="topo-aware",
+        snapshot_dir=str(tmp_path),
+    )
+    assert report.injected["rank_crash"] == 1
+    assert report.surviving_ranks == ranks - 1
+    assert report.weights_match is True

@@ -28,6 +28,8 @@ from repro.simmpi.collectives import (
     original_allreduce_cost,
     ring_allreduce_cost,
 )
+from repro.simmpi.collectives.rhd import rhd_steps
+from repro.simmpi.collectives.schedule import account
 from repro.simmpi.comm import reduce_gamma
 from repro.topology import LinearCostModel, TaihuLightFabric
 
@@ -43,6 +45,18 @@ def make_comm(p, q=4, placement="block", cost=MODEL):
     else:
         pl = round_robin_placement(p, min(q, p) if p % min(q, p) == 0 else 1)
     return SimComm(fab, pl, cost=cost)
+
+
+def rhd_time(comm, n_elems):
+    """Simulated RHD allreduce time of ``n_elems`` float64s per rank.
+
+    Executed on real buffers up to 64 ranks; beyond, only the step list is
+    accounted (allocating p buffers would dominate the suite).
+    """
+    p = comm.p
+    if p <= 64:
+        return rhd_allreduce(comm, random_buffers(p, n_elems)).time_s
+    return account(comm, rhd_steps(p, n_elems, 8)).time_s
 
 
 def random_buffers(p, n, seed=0):
@@ -115,23 +129,25 @@ class TestFunctionalCorrectness:
 class TestCostModelFidelity:
     """Simulated step accounting must reproduce Eqs. 2-6 exactly."""
 
-    @pytest.mark.parametrize("p,q", [(8, 4), (16, 4), (16, 8), (64, 16), (4, 4), (8, 8)])
+    @pytest.mark.parametrize(
+        "p,q", [(8, 4), (16, 4), (16, 8), (64, 16), (4, 4), (8, 8), (256, 16), (1024, 32)]
+    )
     def test_rhd_block_matches_eq_3_4(self, p, q):
         n_elems = p * 16  # divisible by p so all halving splits are even
         nbytes = n_elems * 8
         comm = make_comm(p, q=q, placement="block")
-        result = rhd_allreduce(comm, random_buffers(p, n_elems))
         expected = original_allreduce_cost(nbytes, p, q, MODEL)
-        assert result.time_s == pytest.approx(expected, rel=1e-12)
+        assert rhd_time(comm, n_elems) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("p,q", [(8, 4), (16, 4), (16, 8), (64, 16), (8, 8)])
+    @pytest.mark.parametrize(
+        "p,q", [(8, 4), (16, 4), (16, 8), (64, 16), (8, 8), (256, 16), (1024, 32)]
+    )
     def test_rhd_round_robin_matches_eq_5_6(self, p, q):
         n_elems = p * 16
         nbytes = n_elems * 8
         comm = make_comm(p, q=q, placement="round-robin")
-        result = rhd_allreduce(comm, random_buffers(p, n_elems))
         expected = improved_allreduce_cost(nbytes, p, q, MODEL)
-        assert result.time_s == pytest.approx(expected, rel=1e-12)
+        assert rhd_time(comm, n_elems) == pytest.approx(expected, rel=1e-12)
 
     def test_improved_beats_original_when_multi_supernode(self):
         p, q, nbytes = 64, 16, 1 << 20

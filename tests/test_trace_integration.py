@@ -2,8 +2,9 @@
 
 Pins the ISSUE acceptance criteria:
 
-* the accounting replay used by trace sessions charges *exactly* what the
-  executed recursive halving/doubling allreduce charges;
+* accounting a collective's step list charges *exactly* (``==``) what
+  executing it charges — for ring, binomial and RHD, and for the RHD
+  replay used by trace sessions;
 * enabling tracing changes no simulated-time results (the no-op guarantee);
 * the fig7 harness ``--trace`` flag emits ranks x rounds collective spans;
 * the ``python -m repro trace`` CLI produces valid Chrome trace JSON.
@@ -17,7 +18,11 @@ import numpy as np
 import pytest
 
 from repro import trace
-from repro.simmpi import SimComm, block_placement, rhd_allreduce
+from repro.simmpi import SimComm, block_placement, rhd_allreduce, round_robin_placement
+from repro.simmpi.collectives.binomial import binomial_steps
+from repro.simmpi.collectives.rhd import rhd_steps
+from repro.simmpi.collectives.ring import ring_steps
+from repro.simmpi.collectives.schedule import account, execute
 from repro.topology import TaihuLightFabric
 from repro.trace.session import replay_rhd, trace_training_step
 
@@ -29,29 +34,44 @@ def _comm(p: int, q: int | None = None) -> SimComm:
 
 
 class TestReplayEquivalence:
-    """replay_rhd mirrors rhd_allreduce's accounting exactly."""
+    """Accounting a step list charges exactly what executing it charges."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 8, 13])
     @pytest.mark.parametrize("nbytes", [1 << 10, 1 << 20])
     def test_time_and_steps_match_executed(self, p, nbytes):
         bufs = [np.ones(nbytes // 8) for _ in range(p)]
-        executed = rhd_allreduce(_comm(p), bufs)
-        replayed = replay_rhd(_comm(p), nbytes, itemsize=8)
-        assert replayed.steps == executed.steps
-        assert replayed.time_s == pytest.approx(executed.time_s, rel=1e-12)
+        executed_comm, replayed_comm = _comm(p), _comm(p)
+        executed = rhd_allreduce(executed_comm, bufs)
+        replayed = replay_rhd(replayed_comm, nbytes, itemsize=8)
+        assert replayed == executed  # every CollectiveResult field, exactly
+        assert replayed_comm.clock.now == executed_comm.clock.now
 
     def test_matches_with_supernode_crossing(self):
         # 8 nodes in 2 supernodes: cross-supernode hops cost differently.
         bufs = [np.ones(1 << 17) for _ in range(8)]
         executed = rhd_allreduce(_comm(8, 4), bufs)
         replayed = replay_rhd(_comm(8, 4), 1 << 20, itemsize=8)
-        assert replayed.steps == executed.steps
-        assert replayed.time_s == pytest.approx(executed.time_s, rel=1e-12)
-        assert replayed.bytes_cross == pytest.approx(executed.bytes_cross)
+        assert replayed == executed
+        assert replayed.bytes_cross > 0
 
     def test_single_rank_is_free(self):
         res = replay_rhd(_comm(1), 1 << 20)
         assert res.steps == 0 and res.time_s == 0.0
+
+    @pytest.mark.parametrize("schedule", [ring_steps, binomial_steps, rhd_steps])
+    @pytest.mark.parametrize("p", [1, 2, 5, 8, 13, 64])
+    @pytest.mark.parametrize("placement", [block_placement, round_robin_placement])
+    def test_account_matches_execute(self, schedule, p, placement):
+        q = 4 if p % 4 == 0 else 1
+        fabric = TaihuLightFabric(n_nodes=max(p, 4), nodes_per_supernode=4)
+        n = 3 * p + 1  # uneven MPICH blocks
+        bufs = [np.random.default_rng(r).normal(size=n) for r in range(p)]
+        executed_comm = SimComm(fabric, placement(p, q))
+        replayed_comm = SimComm(fabric, placement(p, q))
+        executed = execute(executed_comm, bufs, schedule)
+        replayed = account(replayed_comm, schedule(p, n, 8))
+        assert replayed == executed
+        assert replayed_comm.clock.now == executed_comm.clock.now
 
 
 class TestTracingIsInert:
