@@ -63,3 +63,14 @@ class CollectiveTimeout(FaultError):
     def __init__(self, message: str, ranks: frozenset[int] = frozenset()) -> None:
         super().__init__(message)
         self.ranks = frozenset(ranks)
+
+
+class OutOfBandDrawError(ReproError):
+    """Raised when a deferred parameter fill finds its generator moved.
+
+    Parameter fills wait in a per-generator queue until a weight is first
+    read (:mod:`repro.frame.blob`). If the caller drew from that generator
+    after building and before any weight was touched, the fills would now
+    draw different numbers than an eager build did; the flush refuses
+    instead of silently changing the weights.
+    """

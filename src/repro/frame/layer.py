@@ -15,7 +15,7 @@ import abc
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.frame.blob import Blob
+from repro.frame.blob import Blob, Fill
 from repro.hw.spec import SW26010Params, SW_PARAMS
 from repro.kernels.plan import PlanCost
 
@@ -114,13 +114,21 @@ class Layer(abc.ABC):
     def add_param(
         self,
         name: str,
-        array: np.ndarray,
+        shape: tuple[int, ...],
+        fill: Fill | None = None,
+        rng: np.random.Generator | None = None,
         lr_mult: float = 1.0,
         decay_mult: float = 1.0,
     ) -> Blob:
-        """Register a learnable parameter blob initialized from ``array``."""
-        blob = Blob(f"{self.name}/{name}", array.shape, dtype=array.dtype)
-        blob.data = array
+        """Register a learnable parameter blob of ``shape``.
+
+        Nothing is allocated here: ``fill(rng)`` makes the initial value on
+        the first touch of ``data`` (zeros without a ``fill``), in the
+        generator's build order (see :mod:`repro.frame.blob`).
+        """
+        blob = Blob(f"{self.name}/{name}", shape)
+        if fill is not None:
+            blob.defer(fill, rng)
         blob.lr_mult = lr_mult
         blob.decay_mult = decay_mult
         self.params.append(blob)

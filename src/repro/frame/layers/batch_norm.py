@@ -47,8 +47,10 @@ class BatchNormLayer(Layer):
     def reshape(self, bottom: list[Blob], top: list[Blob]) -> None:
         c = self._channels(bottom[0].shape)
         if self.gamma is None:
-            self.gamma = self.add_param("gamma", np.ones(c, dtype=np.float32), decay_mult=0.0)
-            self.beta = self.add_param("beta", np.zeros(c, dtype=np.float32), decay_mult=0.0)
+            self.gamma = self.add_param(
+                "gamma", (c,), lambda _: np.ones(c, dtype=np.float32), decay_mult=0.0
+            )
+            self.beta = self.add_param("beta", (c,), decay_mult=0.0)
             self.running_mean = np.zeros(c, dtype=np.float64)
             self.running_var = np.ones(c, dtype=np.float64)
         top[0].reshape(bottom[0].shape)

@@ -74,13 +74,16 @@ class ConvolutionLayer(Layer):
             std = float(np.sqrt(1.0 / fan_in))
         else:
             raise ValueError(f"unknown weight filler {self.weight_filler!r}")
-        w = std * self._rng.standard_normal(
-            size=(self.num_output, ni, k, k), dtype=np.float32
+        shape = (self.num_output, ni, k, k)
+        self.weight = self.add_param(
+            "weight", shape,
+            lambda rng: std * rng.standard_normal(size=shape, dtype=np.float32),
+            rng=self._rng,
         )
-        self.weight = self.add_param("weight", w)
         if self.use_bias:
-            b = np.zeros(self.num_output, dtype=np.float32)
-            self.bias = self.add_param("bias", b, lr_mult=2.0, decay_mult=0.0)
+            self.bias = self.add_param(
+                "bias", (self.num_output,), lr_mult=2.0, decay_mult=0.0
+            )
 
     def reshape(self, bottom: list[Blob], top: list[Blob]) -> None:
         b, ni, h, w = bottom[0].shape
@@ -91,6 +94,11 @@ class ConvolutionLayer(Layer):
             )
         if self.weight is None:
             self._init_weights(ni)
+        elif self.weight.shape[1] != ni // self.groups:
+            raise ShapeError(
+                f"{self.name}: input channels changed "
+                f"({self.weight.shape[1] * self.groups} -> {ni})"
+            )
         ho = conv_out_dim(h, self.kernel_size, self.stride, self.pad)
         wo = conv_out_dim(w, self.kernel_size, self.stride, self.pad)
         top[0].reshape((b, self.num_output, ho, wo))

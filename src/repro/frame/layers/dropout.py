@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.frame.blob import Blob
+from repro.frame.blob import Blob, settle
 from repro.frame.layer import Layer
 from repro.kernels.elementwise import ElementwisePlan
 from repro.kernels.plan import PlanCost
@@ -42,7 +42,7 @@ class DropoutLayer(Layer):
         x = bottom[0].data
         if self.phase == "train" and self.ratio > 0:
             keep = 1.0 - self.ratio
-            self._mask = (self._rng.random(x.shape) < keep) / keep
+            self._mask = (settle(self._rng).random(x.shape) < keep) / keep
             top[0].data = (x * self._mask).astype(x.dtype)
         else:
             self._mask = None

@@ -57,12 +57,15 @@ class InnerProductLayer(Layer):
                 std = float(np.sqrt(2.0 / d))
             else:
                 raise ValueError(f"unknown weight filler {self.weight_filler!r}")
-            w = std * self._rng.standard_normal(size=(self.num_output, d), dtype=np.float32)
-            self.weight = self.add_param("weight", w)
+            shape = (self.num_output, d)
+            self.weight = self.add_param(
+                "weight", shape,
+                lambda rng: std * rng.standard_normal(size=shape, dtype=np.float32),
+                rng=self._rng,
+            )
             if self.use_bias:
                 self.bias = self.add_param(
-                    "bias", np.zeros(self.num_output, dtype=np.float32),
-                    lr_mult=2.0, decay_mult=0.0,
+                    "bias", (self.num_output,), lr_mult=2.0, decay_mult=0.0
                 )
         elif self.weight.shape != (self.num_output, d):
             raise ShapeError(

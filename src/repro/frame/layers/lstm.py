@@ -62,14 +62,22 @@ class LSTMLayer(Layer):
             sx = float(np.sqrt(1.0 / d))
             sh = float(np.sqrt(1.0 / h))
             self.wx = self.add_param(
-                "wx", self._rng.normal(0, sx, size=(4 * h, d)).astype(np.float32)
+                "wx", (4 * h, d),
+                lambda rng: rng.normal(0, sx, size=(4 * h, d)).astype(np.float32),
+                rng=self._rng,
             )
             self.wh = self.add_param(
-                "wh", self._rng.normal(0, sh, size=(4 * h, h)).astype(np.float32)
+                "wh", (4 * h, h),
+                lambda rng: rng.normal(0, sh, size=(4 * h, h)).astype(np.float32),
+                rng=self._rng,
             )
-            bias = np.zeros(4 * h, dtype=np.float32)
-            bias[h : 2 * h] = 1.0  # forget gate
-            self.bias = self.add_param("bias", bias, decay_mult=0.0)
+
+            def forget_gate_bias(_):
+                bias = np.zeros(4 * h, dtype=np.float32)
+                bias[h : 2 * h] = 1.0
+                return bias
+
+            self.bias = self.add_param("bias", (4 * h,), forget_gate_bias, decay_mult=0.0)
         top[0].reshape((b, t, h))
         self._shape = (b, t, d)
 

@@ -44,9 +44,11 @@ class ScaleLayer(Layer):
     def reshape(self, bottom: list[Blob], top: list[Blob]) -> None:
         c = bottom[0].shape[1]
         if self.scale is None:
-            self.scale = self.add_param("scale", np.ones(c, dtype=np.float32), decay_mult=0.0)
+            self.scale = self.add_param(
+                "scale", (c,), lambda _: np.ones(c, dtype=np.float32), decay_mult=0.0
+            )
             if self.use_bias:
-                self.bias = self.add_param("bias", np.zeros(c, dtype=np.float32), decay_mult=0.0)
+                self.bias = self.add_param("bias", (c,), decay_mult=0.0)
         top[0].reshape(bottom[0].shape)
         self._count = bottom[0].count
 

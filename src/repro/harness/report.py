@@ -1,8 +1,9 @@
 """Run every experiment harness and print the full reproduction report.
 
 ``python -m repro.harness.report`` regenerates every table and figure of
-the paper in sequence (plus the design-choice ablations). Building the five
-model-zoo networks takes a minute or two.
+the paper in sequence (plus the design-choice ablations). The model-zoo
+networks are only priced, never filled with weights, so the whole report
+takes seconds. ``tests/golden/report.txt`` pins its output.
 """
 
 from __future__ import annotations

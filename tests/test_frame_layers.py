@@ -60,6 +60,14 @@ class TestConvolutionLayer:
         with pytest.raises(ShapeError):
             run_layer(layer, [RNG.normal(size=(2, 3))])
 
+    def test_reshape_rejects_changed_input_channels(self):
+        layer = self.make()
+        x, y = Blob("x", (2, 3, 6, 6)), Blob("y")
+        layer.setup([x], [y])
+        x.reshape((2, 5, 6, 6))
+        with pytest.raises(ShapeError, match=r"input channels changed \(3 -> 5\)"):
+            layer.reshape([x], [y])
+
 
 class TestInnerProductLayer:
     def make(self):

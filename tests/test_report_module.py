@@ -1,4 +1,7 @@
-"""Smoke tests for the report runner (with the cheap sections only)."""
+"""Tests for the report runner: cheap-section smoke tests and the full golden."""
+
+import re
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +28,15 @@ def test_run_quiet(monkeypatch, capsys):
 def test_all_sections_have_render():
     for name, module in report.SECTIONS:
         assert callable(getattr(module, "render", None)), name
+
+
+def test_full_report_matches_golden(capsys):
+    """Every table, figure, ablation and extension number the report prints.
+
+    Regenerate with ``python -m repro report`` and drop the
+    ``  (generated in N.Ns)`` suffixes of the section headers.
+    """
+    report.run()
+    printed = re.sub(r"  \(generated in [0-9.]+s\)", "", capsys.readouterr().out)
+    golden = Path(__file__).parent / "golden" / "report.txt"
+    assert printed == golden.read_text(encoding="utf-8")
