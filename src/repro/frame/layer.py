@@ -31,6 +31,20 @@ class LayerCost:
     def total_s(self) -> float:
         return self.forward.total_s + self.backward.total_s
 
+    @property
+    def bottleneck(self) -> str:
+        """Which resource bounds this layer's time: the largest of the four
+        components summed over both directions (ties go compute, dma, rlc,
+        overhead)."""
+        f, b = self.forward, self.backward
+        parts = {
+            "compute": f.compute_s + b.compute_s,
+            "dma": f.dma_s + b.dma_s,
+            "rlc": f.rlc_s + b.rlc_s,
+            "overhead": f.overhead_s + b.overhead_s,
+        }
+        return max(parts, key=parts.get)
+
 
 class Layer(abc.ABC):
     """Base class for all swCaffe layers.

@@ -16,7 +16,13 @@ from repro.frame.layer import Layer
 
 
 class DataLayer(Layer):
-    """Produces (data, label) blobs from a batch source."""
+    """Produces (data, label) blobs from a batch source.
+
+    Prices free in both directions (the inherited :class:`Layer` costs):
+    CPEs DMA training data straight from node DRAM and the prefetch thread
+    hides the filesystem read (Sec. V-B), so the layer adds no
+    device-visible time.
+    """
 
     type = "Data"
 

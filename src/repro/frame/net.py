@@ -13,9 +13,8 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.frame.blob import Blob
 from repro.frame.layer import Layer, LayerCost
-from repro.kernels.plan import PlanCost
 from repro.metrics.registry import active as _metrics
-from repro.trace.tracer import active as _tracer, emit_cost_spans, suspended
+from repro.trace.tracer import active as _tracer, emit_layer_span, suspended
 
 
 class Net:
@@ -118,14 +117,9 @@ class Net:
             if tr.enabled:
                 with suspended():  # keep plan-search churn out of the trace
                     cost = layer.sw_forward_cost()
-                parent = emit_cost_spans(
-                    tr, f"{layer.name} fwd", cost,
-                    cat="layer_fwd", args={"layer_type": layer.type},
+                self.last_traced_span = emit_layer_span(
+                    tr, layer, "fwd", cost, self.last_traced_span
                 )
-                if parent is not None:
-                    if self.last_traced_span is not None:
-                        tr.edge(self.last_traced_span, parent)
-                    self.last_traced_span = parent
             if getattr(layer, "is_loss", False):
                 losses[self._tops[layer.name][0]] = layer.loss_weight * float(
                     top[0].data[0]
@@ -195,10 +189,6 @@ class Net:
             )
         return rows
 
-    def sw_forward_time(self) -> float:
-        """Forward-only simulated seconds (the serving engine's compute)."""
-        return self.sw_iteration_time(include_backward=False)
-
     def add_backward_hook(self, hook) -> None:
         """Register ``hook(layer, index)``, fired as each layer completes
         its backward pass (``index`` is the layer's forward position).
@@ -236,14 +226,9 @@ class Net:
             if tr.enabled:
                 with suspended():
                     cost = layer.sw_backward_cost()
-                parent = emit_cost_spans(
-                    tr, f"{layer.name} bwd", cost,
-                    cat="layer_bwd", args={"layer_type": layer.type},
+                self.last_traced_span = emit_layer_span(
+                    tr, layer, "bwd", cost, self.last_traced_span
                 )
-                if parent is not None:
-                    if self.last_traced_span is not None:
-                        tr.edge(self.last_traced_span, parent)
-                    self.last_traced_span = parent
             for hook in self._backward_hooks:
                 hook(layer, index)
 
@@ -271,10 +256,16 @@ class Net:
     # SW26010 timing
     # ------------------------------------------------------------------ #
     def sw_layer_costs(self) -> list[tuple[Layer, LayerCost]]:
-        """Per-layer simulated forward/backward costs on one core group."""
+        """Per-layer simulated forward/backward costs on one core group.
+
+        The one per-layer table: the profiler, the per-device timings, the
+        roofline rows and the trace and metrics sessions all read these
+        rows, pricing each layer once per query. Nothing is cached, since
+        :meth:`set_phase` and reshapes change costs.
+        """
         return [(layer, layer.sw_cost()) for layer in self.layers]
 
-    def sw_iteration_time(self, include_backward: bool = True) -> float:
+    def sw_iteration_time(self) -> float:
         """One training iteration's compute time on the SW26010 node.
 
         The four core groups process batch quarters concurrently and are
@@ -284,8 +275,7 @@ class Net:
         total = 0.0
         for _, cost in self.sw_layer_costs():
             total += cost.forward.total_s
-            if include_backward:
-                total += cost.backward.total_s
+            total += cost.backward.total_s
         return total
 
     def __repr__(self) -> str:

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 from repro.hw.core_group import CoreGroup
 from repro.hw.spec import SW26010Params, SW_PARAMS
-from repro.metrics.registry import active as _metrics
-from repro.trace.tracer import active as _tracer, emit_cost_spans
 
 
 #: Work-saturation knee for convolution kernel invocations, in FLOPs.
@@ -128,28 +126,6 @@ class KernelPlan(abc.ABC):
     @abc.abstractmethod
     def cost(self) -> PlanCost:
         """Simulated time for one invocation on one core group."""
-
-    def traced_cost(self, label: str | None = None) -> PlanCost:
-        """Price one invocation and emit its breakdown as trace spans.
-
-        When tracing is enabled (see :mod:`repro.trace`), the invocation
-        appears as a ``plan_cost`` span on the ``plan`` track with its
-        compute/DMA/RLC components as child spans on the resource tracks;
-        with tracing disabled this is exactly :meth:`cost`.
-        """
-        cost = self.cost()
-        tr = _tracer()
-        if tr.enabled:
-            emit_cost_spans(tr, label or self.name, cost, cat="plan_cost", track="plan")
-        mx = _metrics()
-        if mx.enabled:
-            from repro.metrics.roofline import classify_cost
-
-            verdict = classify_cost(cost, self.params)
-            mx.count("plan.invocations", 1, plan=self.name, bound=verdict.bound)
-            mx.count("plan.flops", cost.flops)
-            mx.count("plan.dma_bytes", cost.dma_bytes)
-        return cost
 
     def time_s(self) -> float:
         """Convenience: total simulated seconds."""

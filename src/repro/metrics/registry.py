@@ -60,9 +60,6 @@ METRIC_NAMES = (
     "comm.bucket_launches",  # counter: nonblocking bucket allreduces launched
     "comm.overlap_hidden_s",   # counter: comm seconds hidden behind backward
     "comm.overlap_exposed_s",  # counter: comm seconds left on the critical path
-    "plan.invocations",     # counter, labels plan=..., bound=...: priced kernels
-    "plan.flops",           # counter, label plan=...
-    "plan.dma_bytes",       # counter, label plan=...
     "layer.passes",         # counter, labels dir=fwd|bwd, layer_type=...
     "solver.iterations",    # counter: completed solver iterations
     "faults.injected",      # counter, label kind=dma_corrupt|rlc_fail|...: faults fired

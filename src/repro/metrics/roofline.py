@@ -114,10 +114,23 @@ class LayerRoofline:
     layer: str
     layer_type: str
     direction: str  # "fwd" | "bwd"
-    total_s: float
-    flops: float
-    dma_bytes: float
+    cost: Any  # the direction's PlanCost
     verdict: RooflineVerdict
+
+    @property
+    def total_s(self) -> float:
+        """Simulated seconds of this direction."""
+        return self.cost.total_s
+
+    @property
+    def flops(self) -> float:
+        """FLOPs this direction retires."""
+        return self.cost.flops
+
+    @property
+    def dma_bytes(self) -> float:
+        """Bytes this direction moves by DMA."""
+        return self.cost.dma_bytes
 
     def as_dict(self) -> dict[str, Any]:
         v = self.verdict
@@ -139,8 +152,15 @@ class LayerRoofline:
 
 def net_roofline(net: Any, params: SW26010Params | None = None) -> list[LayerRoofline]:
     """Per-layer, per-direction roofline rows for a built net."""
+    return roofline_rows(net.sw_layer_costs(), params)
+
+
+def roofline_rows(
+    costs: Iterable[tuple[Any, Any]], params: SW26010Params | None = None
+) -> list[LayerRoofline]:
+    """Roofline rows of a per-layer cost table (``Net.sw_layer_costs()``)."""
     rows: list[LayerRoofline] = []
-    for layer, cost in net.sw_layer_costs():
+    for layer, cost in costs:
         for direction, c in (("fwd", cost.forward), ("bwd", cost.backward)):
             if c.total_s <= 0:
                 continue  # data layers and other free directions
@@ -149,9 +169,7 @@ def net_roofline(net: Any, params: SW26010Params | None = None) -> list[LayerRoo
                     layer=layer.name,
                     layer_type=layer.type,
                     direction=direction,
-                    total_s=c.total_s,
-                    flops=c.flops,
-                    dma_bytes=c.dma_bytes,
+                    cost=c,
                     verdict=classify_cost(c, params),
                 )
             )

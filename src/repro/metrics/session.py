@@ -26,12 +26,12 @@ from repro.metrics.registry import MetricsRegistry, collecting
 from repro.metrics.roofline import (
     LayerRoofline,
     bound_summary,
-    classify_cost,
     render_roofline,
+    roofline_rows,
 )
 from repro.simmpi.comm import SimComm
-from repro.trace.session import replay_rhd, session_layout
-from repro.trace.tracer import Tracer, emit_cost_spans, tracing
+from repro.trace.session import emit_iteration, replay_rhd, session_layout
+from repro.trace.tracer import Tracer, tracing
 from repro.utils.tables import Table
 from repro.utils.units import format_bytes, format_time
 
@@ -175,13 +175,8 @@ def collect_training_step(
 
     # Price every layer exactly once (plan search is deterministic but not
     # cheap); the same cost objects feed rows, counters and spans.
-    priced: list[tuple[LayerRoofline, Any]] = []
-    for layer, cost in net.sw_layer_costs():
-        for direction, c in (("fwd", cost.forward), ("bwd", cost.backward)):
-            if c.total_s <= 0:
-                continue
-            priced.append((_roofline_row(layer, direction, c, p), c))
-    rows = [row for row, _ in priced]
+    costs = net.sw_layer_costs()
+    rows = roofline_rows(costs, p)
     per_iter_s = sum(r.total_s for r in rows)
     payload = float(net.param_bytes())
 
@@ -190,7 +185,8 @@ def collect_training_step(
         for rank in range(ranks):
             with mx.labelled(rank=str(rank)):
                 for _ in range(iterations):
-                    for row, c in priced:
+                    for row in rows:
+                        c = row.cost
                         mx.count("layer.passes", 1, dir=row.direction,
                                  layer_type=row.layer_type)
                         if c.compute_s > 0:
@@ -205,12 +201,7 @@ def collect_training_step(
             if emit_trace:
                 with tr.context(f"rank{rank}"):
                     for _ in range(iterations):
-                        for row, c in priced:
-                            emit_cost_spans(
-                                tr, f"{row.layer} {row.direction}", c,
-                                cat=f"layer_{row.direction}",
-                                args={"layer_type": row.layer_type},
-                            )
+                        emit_iteration(tr, net, costs)
 
         # --- allreduce phase ---------------------------------------------- #
         allreduce_s = 0.0
@@ -237,9 +228,9 @@ def collect_training_step(
 
     # --- per-rank resource totals (ranks are symmetric) ------------------- #
     busy = {
-        "cpe": sum(c.compute_s for _, c in priced) * iterations,
-        "dma": sum(c.dma_s for _, c in priced) * iterations,
-        "rlc": sum(c.rlc_s for _, c in priced) * iterations,
+        "cpe": sum(r.cost.compute_s for r in rows) * iterations,
+        "dma": sum(r.cost.dma_s for r in rows) * iterations,
+        "rlc": sum(r.cost.rlc_s for r in rows) * iterations,
     }
     flops = sum(r.flops for r in rows) * iterations
     dma_bytes = sum(r.dma_bytes for r in rows) * iterations
@@ -293,14 +284,3 @@ def collect_training_step(
         counters=mx.snapshot(),
     )
 
-
-def _roofline_row(layer, direction: str, cost, params: SW26010Params) -> LayerRoofline:
-    return LayerRoofline(
-        layer=layer.name,
-        layer_type=layer.type,
-        direction=direction,
-        total_s=cost.total_s,
-        flops=cost.flops,
-        dma_bytes=cost.dma_bytes,
-        verdict=classify_cost(cost, params),
-    )

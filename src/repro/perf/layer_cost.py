@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.frame.layer import Layer
-from repro.frame.layers import DataLayer
 from repro.frame.net import Net
 from repro.perf.cpu_host import cpu_layer_time
 from repro.perf.gpu_k40m import gpu_layer_time
@@ -27,19 +26,9 @@ class LayerTiming:
         return self.forward_s + self.backward_s
 
 
-def _sw_layer_time(layer: Layer, direction: str) -> float:
-    if isinstance(layer, DataLayer):
-        # CPEs DMA training data straight from node DRAM; the prefetch
-        # thread hides the filesystem read (Sec. V-B), so the data layer
-        # contributes no device-visible time.
-        return 0.0
-    cost = layer.sw_forward_cost() if direction == "forward" else layer.sw_backward_cost()
-    return cost.total_s
-
-
-#: Device name -> per-layer timing function.
+#: Device name -> per-layer timing function, for the devices modeled apart
+#: from the SW26010 (whose times come from ``Net.sw_layer_costs()``).
 DEVICE_TIMERS: dict[str, Callable[[Layer, str], float]] = {
-    "sw26010": _sw_layer_time,
     "k40m": gpu_layer_time,
     "cpu": cpu_layer_time,
 }
@@ -47,10 +36,21 @@ DEVICE_TIMERS: dict[str, Callable[[Layer, str], float]] = {
 
 def net_layer_timings(net: Net, device: str) -> list[LayerTiming]:
     """Per-layer forward/backward times of a net on one device."""
+    if device == "sw26010":
+        return [
+            LayerTiming(
+                layer_name=layer.name,
+                layer_type=layer.type,
+                forward_s=cost.forward.total_s,
+                backward_s=cost.backward.total_s,
+            )
+            for layer, cost in net.sw_layer_costs()
+        ]
     try:
         timer = DEVICE_TIMERS[device]
     except KeyError:
-        raise ValueError(f"unknown device {device!r}; use {sorted(DEVICE_TIMERS)}")
+        known = sorted(["sw26010", *DEVICE_TIMERS])
+        raise ValueError(f"unknown device {device!r}; use {known}")
     out = []
     for layer in net.layers:
         out.append(

@@ -88,7 +88,6 @@ __all__ = [
 _SESSION_EXPORTS = (
     "SessionSummary",
     "replay_rhd",
-    "trace_net_iteration",
     "trace_training_step",
 )
 _CRITPATH_EXPORTS = (

@@ -8,8 +8,8 @@ costs, and splits per rank.
 
 Resource busy-time comes from the leaf span categories (``cpe_compute``,
 ``dma_transfer``, ``rlc_exchange``, ``collective_step``); container spans
-(``layer_*``, ``solver_iter``, ``plan_cost``) are reported as structure,
-not double-counted as busy time.
+(``layer_*``, ``solver_iter``) are reported as structure, not
+double-counted as busy time.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ RESOURCE_CATEGORIES = (
 )
 
 #: Container categories (structure only).
-CONTAINER_CATEGORIES = ("layer_fwd", "layer_bwd", "solver_iter", "plan_cost")
+CONTAINER_CATEGORIES = ("layer_fwd", "layer_bwd", "solver_iter")
 
 
 @dataclass

@@ -20,7 +20,7 @@ Graph model
 * **Leaf spans** (``cpe_compute``, ``dma_transfer``, ``rlc_exchange``,
   ``collective_step``, ``collective_service``, ``batch_compute``,
   ``fault_retry``) carry resource time and scale with their class factor.
-* **Container spans** (``layer_fwd``, ``layer_bwd``, ``plan_cost``) derive
+* **Container spans** (``layer_fwd``, ``layer_bwd``) derive
   their duration from their member components by the dual-pipeline rule
   (``max(members) + overhead``), so scaling one component re-evaluates the
   ``max`` — a DMA-bound layer does not speed up when compute shrinks.
@@ -60,7 +60,7 @@ RESOURCE_CLASS = {
 }
 
 #: Containers whose duration derives from member components + overhead.
-CONTAINER_CATS = ("layer_fwd", "layer_bwd", "plan_cost")
+CONTAINER_CATS = ("layer_fwd", "layer_bwd")
 
 #: Decoration-only categories: never scheduled as graph nodes.
 EXCLUDED_CATS = (

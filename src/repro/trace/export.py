@@ -26,7 +26,7 @@ from repro.trace.tracer import Span, Tracer
 _THREAD_ORDER = (
     "solver",
     "layers",
-    "plan",
+    "plan",  # no producer; holds the later sort indices (and the JSON) fixed
     "cpe",
     "dma",
     "rlc",

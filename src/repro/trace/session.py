@@ -25,7 +25,7 @@ from repro.simmpi.process import Placement
 from repro.simmpi.reorder import block_placement, round_robin_placement
 from repro.topology.fabric import TaihuLightFabric
 from repro.trace.scaling import active as _scaling
-from repro.trace.tracer import Span, Tracer, active, emit_cost_spans, suspended, tracing
+from repro.trace.tracer import Span, Tracer, emit_layer_span, suspended, tracing
 
 
 def replay_rhd(comm: SimComm, nbytes: float, *, itemsize: int = 4) -> CollectiveResult:
@@ -60,24 +60,14 @@ def session_layout(
     return TaihuLightFabric(n_nodes=ranks, nodes_per_supernode=q), place(ranks, q)
 
 
-def trace_net_iteration(net, tracer: Tracer | None = None) -> float:
-    """Emit one simulated training iteration of ``net`` as spans.
+def _price_iteration(net) -> list:
+    """``net``'s per-layer cost table, scaled by any ambient what-if factors.
 
-    Under the tracer's current track context: ``layer_fwd`` spans in layer
-    order, ``layer_bwd`` spans in reverse order (each with compute/DMA/RLC
-    component children on the resource tracks), and one ``solver_iter``
-    span covering the sweep. Returns the iteration's simulated seconds.
-
-    Layer costs are computed with ambient tracing *suspended* so the plan
-    search inside the cost hooks does not spam the trace with candidate
-    LDM-allocation events.
+    Priced with ambient tracing *suspended* so the plan search inside the
+    cost hooks does not spam the trace with candidate LDM-allocation events.
     """
-    tr = tracer if tracer is not None else active()
-    if not tr.enabled:
-        return float(net.sw_iteration_time())
-    start = tr.cursor("layers")
     with suspended():
-        costs = [(layer, layer.sw_cost()) for layer in net.layers]
+        costs = net.sw_layer_costs()
     sc = _scaling()
     if sc.enabled:
         # What-if validation: scale each layer's component costs exactly
@@ -93,25 +83,23 @@ def trace_net_iteration(net, tracer: Tracer | None = None) -> float:
             )
             for layer, cost in costs
         ]
+    return costs
+
+
+def emit_iteration(tr: Tracer, net, costs: list) -> float:
+    """Emit one training iteration of a priced cost table as spans.
+
+    Under the tracer's current track context: ``layer_fwd`` spans in layer
+    order, ``layer_bwd`` spans in reverse order (each with compute/DMA/RLC
+    component children on the resource tracks), and one ``solver_iter``
+    span covering the sweep. Returns the iteration's simulated seconds.
+    """
+    start = tr.cursor("layers")
     prev = None
     for layer, cost in costs:
-        parent = emit_cost_spans(
-            tr, f"{layer.name} fwd", cost.forward,
-            cat="layer_fwd", args={"layer_type": layer.type},
-        )
-        if parent is not None:
-            if prev is not None:
-                tr.edge(prev, parent)
-            prev = parent
+        prev = emit_layer_span(tr, layer, "fwd", cost.forward, prev)
     for layer, cost in reversed(costs):
-        parent = emit_cost_spans(
-            tr, f"{layer.name} bwd", cost.backward,
-            cat="layer_bwd", args={"layer_type": layer.type},
-        )
-        if parent is not None:
-            if prev is not None:
-                tr.edge(prev, parent)
-            prev = parent
+        prev = emit_layer_span(tr, layer, "bwd", cost.backward, prev)
     dur = tr.cursor("layers") - start
     tr.emit(
         f"{net.name} iteration",
@@ -167,11 +155,14 @@ def trace_training_step(
     first_fwd: dict[tuple[int, int], Span] = {}
     last_bwd: dict[tuple[int, int], Span] = {}
     with tracing(tr):
+        # Every rank runs the same iteration: price it once, emit it
+        # ranks x iterations times.
+        costs = _price_iteration(net)
         for r in range(ranks):
             with tr.context(f"rank{r}"):
                 for it in range(iterations):
                     mark = len(tr.spans)
-                    trace_net_iteration(net, tr)
+                    emit_iteration(tr, net, costs)
                     segment = tr.spans[mark:]
                     fwds = [s for s in segment if s.cat == "layer_fwd"]
                     bwds = [s for s in segment if s.cat == "layer_bwd"]

@@ -48,7 +48,6 @@ SPAN_CATEGORIES = (
     "layer_fwd",     # one layer's forward pass
     "layer_bwd",     # one layer's backward pass
     "solver_iter",   # one full solver iteration
-    "plan_cost",     # a kernel plan's priced invocation
     "fault_inject",  # instant: an injected fault fired (repro.faults)
     "fault_retry",   # retry/backoff/timeout time charged to recovery
     "request_queued",  # instant: a serving request entered the admission queue
@@ -342,7 +341,7 @@ def emit_cost_spans(
     name: str,
     cost: Any,
     *,
-    cat: str = "plan_cost",
+    cat: str,
     track: str = "layers",
     args: Mapping[str, Any] | None = None,
 ) -> Span | None:
@@ -383,6 +382,27 @@ def emit_cost_spans(
                 args={"of": cat, **extra},
             )
             tracer.edge(comp, parent, kind="member")
+    return parent
+
+
+def emit_layer_span(
+    tracer: Tracer, layer: Any, direction: str, cost: Any, prev: Span | None
+) -> Span | None:
+    """Emit one layer pass as a ``layer_<direction>`` cost span after ``prev``.
+
+    ``direction`` is ``"fwd"`` or ``"bwd"``; ``layer`` needs ``name`` and
+    ``type``. The span is chained to ``prev`` (the pass before it in
+    propagation order) by a ``dep`` edge. Returns the span the next pass
+    chains to: the new span, or ``prev`` when tracing is disabled.
+    """
+    parent = emit_cost_spans(
+        tracer, f"{layer.name} {direction}", cost,
+        cat=f"layer_{direction}", args={"layer_type": layer.type},
+    )
+    if parent is None:
+        return prev
+    if prev is not None:
+        tracer.edge(prev, parent)
     return parent
 
 

@@ -1,44 +1,17 @@
 """Net profiling: the ``caffe time`` equivalent for the simulated SW26010.
 
-Aggregates each layer's simulated cost breakdown (compute / DMA / RLC /
-overhead) across a net, identifies the bottleneck resource per layer, and
-renders a profile table — the tool you'd use to decide where the next
-kernel optimization goes.
+Renders the rows of ``Net.sw_layer_costs()`` — each layer's simulated cost
+breakdown (compute / DMA / RLC / overhead) and its bottleneck resource
+(:attr:`~repro.frame.layer.LayerCost.bottleneck`) — as a profile table,
+the tool you'd use to decide where the next kernel optimization goes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.frame.layer import Layer, LayerCost
 from repro.frame.net import Net
-from repro.kernels.plan import PlanCost
 from repro.utils.tables import Table
 from repro.utils.units import format_time
-
-
-@dataclass(frozen=True)
-class LayerProfile:
-    """One layer's simulated cost decomposition (forward + backward)."""
-
-    name: str
-    type: str
-    forward: PlanCost
-    backward: PlanCost
-
-    @property
-    def total_s(self) -> float:
-        return self.forward.total_s + self.backward.total_s
-
-    @property
-    def bottleneck(self) -> str:
-        """Which resource bounds this layer's time."""
-        parts = {
-            "compute": self.forward.compute_s + self.backward.compute_s,
-            "dma": self.forward.dma_s + self.backward.dma_s,
-            "rlc": self.forward.rlc_s + self.backward.rlc_s,
-            "overhead": self.forward.overhead_s + self.backward.overhead_s,
-        }
-        return max(parts, key=parts.get)
 
 
 class NetProfiler:
@@ -47,26 +20,15 @@ class NetProfiler:
     def __init__(self, net: Net) -> None:
         self.net = net
 
-    def profile(self) -> list[LayerProfile]:
-        """Collect every layer's cost breakdown."""
-        out = []
-        for layer in self.net.layers:
-            out.append(
-                LayerProfile(
-                    name=layer.name,
-                    type=layer.type,
-                    forward=layer.sw_forward_cost(),
-                    backward=layer.sw_backward_cost(),
-                )
-            )
-        return out
-
-    def totals(self, profiles: list[LayerProfile] | None = None) -> dict[str, float]:
-        """Whole-net resource totals in seconds."""
-        profiles = profiles if profiles is not None else self.profile()
+    def totals(
+        self, costs: list[tuple[Layer, LayerCost]] | None = None
+    ) -> dict[str, float]:
+        """Whole-net resource totals in seconds over ``Net.sw_layer_costs()``
+        rows (priced here when ``costs`` is not given)."""
+        costs = costs if costs is not None else self.net.sw_layer_costs()
         agg = {"compute": 0.0, "dma": 0.0, "rlc": 0.0, "overhead": 0.0, "total": 0.0}
-        for p in profiles:
-            for cost in (p.forward, p.backward):
+        for _, layer_cost in costs:
+            for cost in (layer_cost.forward, layer_cost.backward):
                 agg["compute"] += cost.compute_s
                 agg["dma"] += cost.dma_s
                 agg["rlc"] += cost.rlc_s
@@ -74,34 +36,29 @@ class NetProfiler:
                 agg["total"] += cost.total_s
         return agg
 
-    def top_layers(self, n: int = 5, profiles: list[LayerProfile] | None = None) -> list[LayerProfile]:
-        """The n most expensive layers."""
-        profiles = profiles if profiles is not None else self.profile()
-        return sorted(profiles, key=lambda p: p.total_s, reverse=True)[:n]
-
     def render(self, min_fraction: float = 0.005) -> str:
         """Profile table; layers under ``min_fraction`` of total are folded."""
-        profiles = self.profile()
-        agg = self.totals(profiles)
+        costs = self.net.sw_layer_costs()
+        agg = self.totals(costs)
         total = agg["total"] or 1.0
         table = Table(
             headers=["layer", "type", "fwd", "bwd", "share", "bottleneck"],
             title=f"SW26010 profile of {self.net.name!r} (one CG per iteration)",
         )
         folded = 0.0
-        for p in profiles:
-            share = p.total_s / total
+        for layer, cost in costs:
+            share = cost.total_s / total
             if share < min_fraction:
-                folded += p.total_s
+                folded += cost.total_s
                 continue
             table.add_row(
-                p.name, p.type,
-                format_time(p.forward.total_s), format_time(p.backward.total_s),
-                f"{100 * share:.1f}%", p.bottleneck,
+                layer.name, layer.type,
+                format_time(cost.forward.total_s), format_time(cost.backward.total_s),
+                f"{100 * share:.1f}%", cost.bottleneck,
             )
         if folded:
             table.add_row(
-                f"({sum(1 for p in profiles if p.total_s / total < min_fraction)} small layers)",
+                f"({sum(1 for _, c in costs if c.total_s / total < min_fraction)} small layers)",
                 "-", "-", "-", f"{100 * folded / total:.1f}%", "-",
             )
         lines = [table.render()]

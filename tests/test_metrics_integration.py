@@ -34,6 +34,7 @@ from repro.metrics.registry import MetricsRegistry, collecting
 from repro.simmpi import SimComm, block_placement, rhd_allreduce
 from repro.topology import TaihuLightFabric
 from repro.trace.export import validate_chrome
+from repro.trace.session import trace_training_step
 from repro.trace.tracer import Tracer, tracing
 
 
@@ -118,6 +119,23 @@ class TestTraceMetricsConsistency:
         assert spans, "session trace should contain dma_transfer spans"
         span_bytes = sum(s.args["bytes"] for s in spans)
         assert span_bytes == pytest.approx(mx.value("dma.bytes", dir="model"))
+
+    def test_session_layer_spans_match_trace_session(self):
+        # Forwards in layer order, then backwards last-to-first, dep-chained.
+        net = lenet.build(batch_size=16)
+        metered = Tracer()
+        collect_training_step(net, ranks=2, tracer=metered)
+        traced, _ = trace_training_step(net, ranks=2)
+
+        def rank0_layers(tr):
+            spans = [(s.name, s.start_s, s.dur_s) for s in tr.spans
+                     if s.track == "rank0/layers" and s.cat.startswith("layer_")]
+            deps = [(a.name, b.name) for a, b, kind in tr.edges
+                    if kind == "dep" and a.track == b.track == "rank0/layers"]
+            return spans, deps
+
+        assert rank0_layers(metered) == rank0_layers(traced)
+        assert len(metered.by_category("solver_iter")) == 2
 
 
 class TestRooflinePins:

@@ -1,5 +1,7 @@
 """Tests for the roofline baselines and whole-net timing engine."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from repro.perf import (
 )
 from repro.perf.workload import layer_workload
 from repro.perf.gpu_k40m import conv_efficiency as gpu_conv_eff
-from repro.frame.layers import ConvolutionLayer, ReLULayer
+from repro.__main__ import NETWORKS
+from repro.frame.layers import ConvolutionLayer, DataLayer, ReLULayer
+from repro.kernels.plan import PlanCost
 from repro.frame.blob import Blob
 from repro.utils.rng import seeded_rng
 
@@ -136,3 +140,16 @@ class TestNetTiming:
     def test_unknown_device(self, net):
         with pytest.raises(ValueError):
             net_layer_timings(net, "tpu")
+
+
+@pytest.mark.parametrize("name", sorted(NETWORKS))
+def test_zoo_data_layers_price_free(name):
+    # No device time for the data layer (Sec. V-B): it inherits Layer's
+    # free costs, so every per-layer table reads zero for it.
+    mod_path, fn_name, batch = NETWORKS[name]
+    net = getattr(importlib.import_module(mod_path), fn_name)(batch_size=batch)
+    data_layers = [layer for layer in net.layers if isinstance(layer, DataLayer)]
+    assert data_layers
+    for layer in data_layers:
+        assert layer.sw_forward_cost() == PlanCost()
+        assert layer.sw_backward_cost() == PlanCost()

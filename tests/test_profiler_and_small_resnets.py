@@ -1,7 +1,10 @@
 """Tests for the net profiler and the ResNet-18/34 zoo additions."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.__main__ import NETWORKS, main as repro_main
 from repro.frame.model_zoo import lenet
 from repro.frame.model_zoo.resnet_small import build_resnet18, build_resnet34
 from repro.utils.profiler import NetProfiler
@@ -13,31 +16,37 @@ class TestNetProfiler:
         return lenet.build(batch_size=8)
 
     def test_profiles_every_layer(self, net):
-        profiler = NetProfiler(net)
-        profiles = profiler.profile()
-        assert len(profiles) == len(net.layers)
-        assert all(p.total_s >= 0 for p in profiles)
+        costs = net.sw_layer_costs()
+        assert [layer for layer, _ in costs] == net.layers
+        assert all(cost.total_s >= 0 for _, cost in costs)
 
     def test_totals_consistent(self, net):
-        profiler = NetProfiler(net)
-        profiles = profiler.profile()
-        agg = profiler.totals(profiles)
-        assert agg["total"] == pytest.approx(sum(p.total_s for p in profiles))
+        costs = net.sw_layer_costs()
+        agg = NetProfiler(net).totals(costs)
+        assert agg["total"] == pytest.approx(sum(c.total_s for _, c in costs))
         assert agg["total"] == pytest.approx(net.sw_iteration_time(), rel=1e-9)
 
-    def test_top_layers_sorted(self, net):
-        top = NetProfiler(net).top_layers(3)
-        assert len(top) == 3
-        assert top[0].total_s >= top[1].total_s >= top[2].total_s
-
     def test_bottleneck_labels(self, net):
-        for p in NetProfiler(net).profile():
-            assert p.bottleneck in ("compute", "dma", "rlc", "overhead")
+        for _, cost in net.sw_layer_costs():
+            assert cost.bottleneck in ("compute", "dma", "rlc", "overhead")
 
     def test_render(self, net):
         text = NetProfiler(net).render()
         assert "profile" in text
         assert "iteration=" in text
+
+
+def test_profile_cli_matches_golden(capsys):
+    """``python -m repro profile <net>`` for every zoo net at its default
+    batch, in ``NETWORKS`` order: layer rows, small-layer folding and the
+    bottleneck column.
+
+    Regenerate by concatenating the eight outputs.
+    """
+    for name in NETWORKS:
+        assert repro_main(["profile", name]) == 0
+    golden = Path(__file__).parent / "golden" / "profile.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 class TestSmallResNets:

@@ -166,7 +166,7 @@ class TestDisabledTracer:
             compute_s = dma_s = rlc_s = total_s = 1.0
             overhead_s = 0.0
             flops = dma_bytes = 0
-        assert emit_cost_spans(NULL_TRACER, "conv", Cost()) is None
+        assert emit_cost_spans(NULL_TRACER, "conv", Cost(), cat="layer_fwd") is None
         assert len(NULL_TRACER.spans) == 0
 
     def test_tracing_installs_and_restores(self):

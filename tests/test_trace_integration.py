@@ -13,6 +13,7 @@ Pins the ISSUE acceptance criteria:
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -111,26 +112,6 @@ class TestTracingIsInert:
         assert tr.by_category("collective_step")
 
 
-class TestPlanCostSpans:
-    def test_traced_cost_emits_breakdown(self):
-        from repro.kernels.gemm import SWGemmPlan
-
-        plan = SWGemmPlan(m=256, n=256, k=256)
-        with trace.tracing() as tr:
-            cost = plan.traced_cost()
-        parent = next(s for s in tr.spans if s.cat == "plan_cost")
-        assert parent.track == "plan" and parent.dur_s == cost.total_s
-        cpe = next(s for s in tr.spans if s.cat == "cpe_compute")
-        assert cpe.start_s == parent.start_s and cpe.dur_s == cost.compute_s
-
-    def test_traced_cost_equals_cost_when_disabled(self):
-        from repro.kernels.gemm import SWGemmPlan
-
-        plan = SWGemmPlan(m=256, n=256, k=256)
-        assert plan.traced_cost() == plan.cost()
-        assert trace.active() is trace.NULL_TRACER
-
-
 class TestFig7TraceFlag:
     def test_collective_spans_are_ranks_times_rounds(self, tmp_path, capsys):
         from repro.harness import fig7_allreduce as f7
@@ -194,6 +175,43 @@ class TestTraceSession:
 
         trace_training_step(lenet.build(batch_size=4), ranks=2)
         assert trace.active() is trace.NULL_TRACER
+
+    def test_each_layer_priced_once(self, monkeypatch):
+        # Every rank and iteration lays out the same priced cost table.
+        from repro.frame.layer import Layer
+        import repro.frame.layers  # noqa: F401  (registers every subclass)
+        from repro.frame.model_zoo import lenet
+
+        counts: Counter = Counter()
+        depth = [0]
+
+        def counting(fn, direction):
+            def wrapper(self):
+                if depth[0] == 0:  # a cost hook calling another counts once
+                    counts[(self.name, direction)] += 1
+                depth[0] += 1
+                try:
+                    return fn(self)
+                finally:
+                    depth[0] -= 1
+
+            return wrapper
+
+        classes, todo = [], [Layer]
+        while todo:
+            cls = todo.pop()
+            classes.append(cls)
+            todo.extend(cls.__subclasses__())
+        for cls in classes:
+            for attr, direction in (("sw_forward_cost", "fwd"), ("sw_backward_cost", "bwd")):
+                if attr in vars(cls):
+                    monkeypatch.setattr(cls, attr, counting(vars(cls)[attr], direction))
+        net = lenet.build(batch_size=16)
+        trace_training_step(net, ranks=8, iterations=2)
+        assert set(counts) == {
+            (layer.name, d) for layer in net.layers for d in ("fwd", "bwd")
+        }
+        assert set(counts.values()) == {1}
 
 
 class TestCLI:
