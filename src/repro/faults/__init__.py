@@ -18,14 +18,9 @@ See ``docs/robustness.md``.
 """
 
 from repro.faults.injector import (
-    NULL_INJECTOR,
     FaultInjector,
-    NullInjector,
-    active,
     charge_transient,
     injecting,
-    install,
-    suspended,
 )
 from repro.faults.plan import (
     BASE_SEED,
@@ -46,15 +41,10 @@ __all__ = [
     "TRANSIENT_SITES",
     "FaultPlan",
     "FaultInjector",
-    "NullInjector",
-    "NULL_INJECTOR",
-    "active",
     "charge_transient",
     "conformance_seeds",
     "injecting",
-    "install",
     "parse_seed_string",
     "seed_string",
-    "suspended",
     "zero_plan",
 ]

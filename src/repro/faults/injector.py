@@ -1,12 +1,10 @@
 """The fault injector: ambient delivery of a plan's faults into the hooks.
 
-Mirrors the design of :mod:`repro.trace.tracer` and
-:mod:`repro.metrics.registry`: injection is ambient and **off by default**.
-:func:`active` returns a shared :class:`NullInjector` whose ``enabled``
-attribute is False, so every instrumentation site costs one function call
-and one attribute check when disabled and never perturbs simulated-time
-arithmetic (pinned by ``tests/test_faults_chaos.py``). Enable with
-:func:`injecting`::
+Like tracing and metrics, injection is ambient and **off by default**: the
+``faults`` field of the :mod:`repro.ambient` record is ``None``, so every
+hook site costs one attribute read when disabled and never perturbs
+simulated-time arithmetic (pinned by ``tests/test_faults_chaos.py``).
+Enable with :func:`injecting`::
 
     from repro.faults import FaultPlan, injecting
 
@@ -18,10 +16,11 @@ arithmetic (pinned by ``tests/test_faults_chaos.py``). Enable with
 Hook sites live in :mod:`repro.hw.dma` / :mod:`repro.hw.rlc` (transient
 corruption + retry-with-backoff on the :class:`~repro.hw.clock.SimClock`),
 :mod:`repro.hw.mesh_sim` (bus bandwidth degradation), and
-:mod:`repro.simmpi.comm` (straggler slowdown, flaky-link step retries,
-crash timeouts). The shared :func:`charge_transient` helper keeps the
-DMA/RLC/comm sites identical: decide, emit trace spans, feed the
-``faults.*`` counters, charge the clock.
+:mod:`repro.simmpi.comm` / :mod:`repro.simmpi.p2p` (straggler slowdown,
+flaky-link step retries, crash timeouts). One transient path serves them
+all: :func:`transient_delay` decides, emits trace spans and feeds the
+``faults.*`` counters; :func:`charge_transient` adds the clock charge and
+:func:`charge_comm` the straggler accounting of a network exchange.
 """
 
 from __future__ import annotations
@@ -30,9 +29,8 @@ from collections import Counter, defaultdict
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
+from repro import ambient
 from repro.faults.plan import SITE_KINDS, FaultPlan
-from repro.metrics.registry import active as _metrics
-from repro.trace.tracer import active as _tracer
 
 
 class FaultInjector:
@@ -42,9 +40,6 @@ class FaultInjector:
     the ``n``-th DMA transfer of a run faults iff the plan says invocation
     ``n`` faults, independent of what any other site did in between.
     """
-
-    #: Instrumentation sites check this before doing any work.
-    enabled: bool = True
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
@@ -127,56 +122,6 @@ class FaultInjector:
         self.rank_rebuilds += 1
 
 
-class NullInjector(FaultInjector):
-    """The disabled injector: deciding anything is an instrumentation bug.
-
-    Hook sites guard with ``if fi.enabled:``, so with the null injector
-    installed the per-call cost is one function call and one attribute
-    check — and no simulated-time arithmetic ever depends on it.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:  # no plan to hold
-        pass
-
-    def _bug(self) -> RuntimeError:
-        return RuntimeError(
-            "NullInjector consulted; guard fault hooks with `if injector.enabled`"
-        )
-
-    def transient(self, site: str, base_s: float) -> tuple[int, float]:
-        raise self._bug()
-
-    def mesh_degrade(self) -> float:
-        raise self._bug()
-
-    def comm_scale(self, rank_a: int, rank_b: int) -> float:
-        raise self._bug()
-
-    def failed_ranks(self) -> frozenset[int]:
-        raise self._bug()
-
-
-#: Shared disabled injector; identity-compared by tests.
-NULL_INJECTOR = NullInjector()
-
-_active: FaultInjector = NULL_INJECTOR
-
-
-def active() -> FaultInjector:
-    """The ambient injector (the shared :data:`NULL_INJECTOR` when disabled)."""
-    return _active
-
-
-def install(injector: FaultInjector) -> FaultInjector:
-    """Make ``injector`` ambient; returns the previously installed one."""
-    global _active
-    previous = _active
-    _active = injector
-    return previous
-
-
 @contextmanager
 def injecting(plan_or_injector: FaultPlan | FaultInjector) -> Iterator[FaultInjector]:
     """Enable fault injection for the block; yields the injector."""
@@ -185,89 +130,66 @@ def injecting(plan_or_injector: FaultPlan | FaultInjector) -> Iterator[FaultInje
         if isinstance(plan_or_injector, FaultInjector)
         else FaultInjector(plan_or_injector)
     )
-    previous = install(fi)
-    try:
+    with ambient.installed(faults=fi):
         yield fi
-    finally:
-        install(previous)
-
-
-@contextmanager
-def suspended() -> Iterator[None]:
-    """Temporarily disable injection (e.g. around reference computations)."""
-    previous = install(NULL_INJECTOR)
-    try:
-        yield
-    finally:
-        install(previous)
 
 
 # --------------------------------------------------------------------------- #
 # the shared transient hook
 # --------------------------------------------------------------------------- #
-def charge_transient(site: str, clock, base_s: float, *, track: str) -> int:
-    """Hook helper for DMA/RLC/comm sites: inject, observe, charge, retry.
-
-    No-op (beyond the enabled check) when injection is disabled. When the
-    plan faults this invocation: emits a ``fault_inject`` instant plus a
-    ``fault_retry`` span on ``track``, feeds the ``faults.*`` counters, and
-    advances ``clock`` by the retry overhead under the ``"fault"`` category.
-    Returns the number of retries injected.
-    """
-    fi = active()
-    if not fi.enabled:
-        return 0
-    k, extra = fi.transient(site, base_s)
-    if k == 0:
-        return 0
-    kind = SITE_KINDS[site]
-    tr = _tracer()
-    if tr.enabled:
-        tr.instant_event(
-            kind, "fault_inject", track=track, start=clock.now, args={"retries": k}
-        )
-        tr.emit(
-            f"{kind} retry", "fault_retry", track=track,
-            start=clock.now, dur=extra, args={"retries": k, "base_s": base_s},
-        )
-    mx = _metrics()
-    if mx.enabled:
-        mx.count("faults.injected", k, kind=kind)
-        mx.count("faults.retries", k)
-        mx.count("faults.retry_s", extra)
-    clock.advance(extra, category="fault")
-    return k
-
-
 def transient_delay(site: str, base_s: float, *, track: str, at_s: float) -> float:
-    """Clock-less sibling of :func:`charge_transient` for event-driven hosts.
+    """Hook helper for every transient site: decide, observe, return the delay.
 
-    The serving engine (:mod:`repro.serve.engine`) keeps its own event time
-    instead of a :class:`~repro.hw.clock.SimClock`, so this variant returns
-    the retry overhead in seconds for the caller to add to its timeline —
-    same decision, same trace spans (pinned at ``at_s``), same ``faults.*``
-    counters. Returns 0.0 when injection is disabled or the invocation
-    succeeds first try.
+    Returns 0.0 when injection is disabled or the invocation succeeds first
+    try. When the plan faults this invocation: emits a ``fault_inject``
+    instant plus a ``fault_retry`` span on ``track`` at ``at_s``, feeds the
+    ``faults.*`` counters, and returns the retry overhead in seconds.
+    Event-driven hosts (the serving engine) add it to their own timeline;
+    clocked sites use :func:`charge_transient`.
     """
-    fi = active()
-    if not fi.enabled:
+    amb = ambient.current()
+    if amb.faults is None:
         return 0.0
-    k, extra = fi.transient(site, base_s)
+    k, extra = amb.faults.transient(site, base_s)
     if k == 0:
         return 0.0
     kind = SITE_KINDS[site]
-    tr = _tracer()
-    if tr.enabled:
-        tr.instant_event(
+    if amb.tracer is not None:
+        amb.tracer.instant_event(
             kind, "fault_inject", track=track, start=at_s, args={"retries": k}
         )
-        tr.emit(
+        amb.tracer.emit(
             f"{kind} retry", "fault_retry", track=track,
             start=at_s, dur=extra, args={"retries": k, "base_s": base_s},
         )
-    mx = _metrics()
-    if mx.enabled:
-        mx.count("faults.injected", k, kind=kind)
-        mx.count("faults.retries", k)
-        mx.count("faults.retry_s", extra)
+    if amb.metrics is not None:
+        amb.metrics.count("faults.injected", k, kind=kind)
+        amb.metrics.count("faults.retries", k)
+        amb.metrics.count("faults.retry_s", extra)
     return extra
+
+
+def charge_transient(site: str, clock, base_s: float, *, track: str) -> float:
+    """:func:`transient_delay` at ``clock.now``, charged to ``clock`` under the
+    ``"fault"`` category. Returns the retry seconds charged (0.0: none)."""
+    extra = transient_delay(site, base_s, track=track, at_s=clock.now)
+    if extra > 0:
+        clock.advance(extra, category="fault")
+    return extra
+
+
+def charge_comm(clock, base_s: float, slow_s: float) -> None:
+    """The ``comm`` fault site of one network exchange of ``base_s`` seconds.
+
+    Records ``slow_s`` straggler seconds already in the exchange's price,
+    then charges any flaky-link retry: the exchange is repeated with
+    identical data, so results stay bit-exact.
+    """
+    amb = ambient.current()
+    if amb.faults is None:
+        return
+    if slow_s > 0:
+        amb.faults.note_slow()
+        if amb.metrics is not None:
+            amb.metrics.count("faults.slow_s", slow_s)
+    charge_transient("comm", clock, base_s, track="comm")

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import ambient
 from repro.errors import ShapeError
 from repro.frame.blob import Blob
 from repro.frame.layer import Layer, LayerCost
-from repro.metrics.registry import active as _metrics
-from repro.trace.tracer import active as _tracer, emit_layer_span, suspended
+from repro.trace.tracer import emit_layer_span, suspended
 
 
 class Net:
@@ -107,14 +107,14 @@ class Net:
         convention: the reported training loss is the weighted sum).
         """
         losses: dict[str, float] = {}
-        tr = _tracer()
-        mx = _metrics()
+        amb = ambient.current()
+        tr, mx = amb.tracer, amb.metrics
         for layer in self.layers:
             bottom, top = self._io(layer)
             layer.forward(bottom, top)
-            if mx.enabled:
+            if mx is not None:
                 mx.count("layer.passes", 1, dir="fwd", layer_type=layer.type)
-            if tr.enabled:
+            if tr is not None:
                 with suspended():  # keep plan-search churn out of the trace
                     cost = layer.sw_forward_cost()
                 self.last_traced_span = emit_layer_span(
@@ -215,15 +215,15 @@ class Net:
                 top_blob.diff = np.full(
                     top_blob.shape, layer.loss_weight, dtype=top_blob.dtype
                 )
-        tr = _tracer()
-        mx = _metrics()
+        amb = ambient.current()
+        tr, mx = amb.tracer, amb.metrics
         for index in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[index]
             bottom, top = self._io(layer)
             layer.backward(top, bottom)
-            if mx.enabled:
+            if mx is not None:
                 mx.count("layer.passes", 1, dir="bwd", layer_type=layer.type)
-            if tr.enabled:
+            if tr is not None:
                 with suspended():
                     cost = layer.sw_backward_cost()
                 self.last_traced_span = emit_layer_span(

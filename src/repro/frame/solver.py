@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import ambient
 from repro.frame.net import Net
-from repro.metrics.registry import active as _metrics
-from repro.trace.tracer import active as _tracer
 
 
 @dataclass
@@ -138,16 +137,15 @@ class SGDSolver:
                 pass_time = self.net.sw_iteration_time()
                 stats.simulated_time_s += pass_time
                 iter_time += pass_time
-            tr = _tracer()
-            if tr.enabled:
-                tr.emit(
+            amb = ambient.current()
+            if amb.tracer is not None:
+                amb.tracer.emit(
                     f"iter {self.iter}", "solver_iter", track="solver",
                     dur=iter_time,
                     args={"lr": self.learning_rate(), "iter_size": self.iter_size},
                 )
-            mx = _metrics()
-            if mx.enabled:
-                mx.count("solver.iterations", 1)
+            if amb.metrics is not None:
+                amb.metrics.count("solver.iterations", 1)
             if self.iter_size > 1:
                 for p in self.net.params:
                     p.diff = p.diff / self.iter_size

@@ -12,11 +12,12 @@ reduction result is exact.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro import trace
+from repro import ambient, trace
 from repro.simmpi import SimComm, block_placement, rhd_allreduce, round_robin_placement
 from repro.simmpi.collectives import improved_allreduce_cost, original_allreduce_cost
 from repro.topology import LinearCostModel, TaihuLightFabric
@@ -57,6 +58,7 @@ def generate(nbytes: int = DEFAULT_NBYTES) -> Fig7Result:
     rng = np.random.default_rng(7)
     reference = None
     results = {}
+    tr = ambient.current().tracer
     for scheme, placement in (
         ("original", block_placement(P, Q)),
         ("improved", round_robin_placement(P, Q)),
@@ -66,7 +68,7 @@ def generate(nbytes: int = DEFAULT_NBYTES) -> Fig7Result:
         comm = SimComm(fabric, placement, cost=MODEL)
         # When tracing is enabled, each scheme's per-rank collective steps
         # land under their own track group ("original/rank3/collective").
-        with trace.active().context(scheme):
+        with tr.context(scheme) if tr is not None else nullcontext():
             res = rhd_allreduce(comm, bufs)
         exact = all(np.allclose(b, expected, rtol=1e-10) for b in bufs)
         results[scheme] = (res, exact)

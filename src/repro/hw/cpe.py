@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import ambient
 from repro.hw.clock import SimClock
 from repro.hw.ldm import LDMAllocator
 from repro.hw.spec import SW26010Params, SW_PARAMS
-from repro.metrics.registry import active as _metrics
-from repro.trace.tracer import active as _tracer
 
 
 @dataclass
@@ -57,19 +56,18 @@ class CPE:
     def charge_compute(self, flops: float, efficiency: float = 1.0) -> None:
         """Advance the clock by a compute phase."""
         dt = self.compute_time(flops, efficiency)
-        tr = _tracer()
-        if tr.enabled:
-            tr.emit(
+        amb = ambient.current()
+        if amb.tracer is not None:
+            amb.tracer.emit(
                 "cpe_compute", "cpe_compute", track="cpe",
                 start=self.clock.now, dur=dt,
                 args={"flops": flops, "efficiency": efficiency,
                       "cpe": f"({self.row},{self.col})"},
             )
-        mx = _metrics()
-        if mx.enabled:
-            mx.count("cpe.busy_s", dt)
-            mx.count("cpe.flops", flops)
-            mx.observe("cpe.efficiency", efficiency)
+        if amb.metrics is not None:
+            amb.metrics.count("cpe.busy_s", dt)
+            amb.metrics.count("cpe.flops", flops)
+            amb.metrics.observe("cpe.efficiency", efficiency)
         self.clock.advance(dt, category="compute")
 
     def simd_efficiency(self, vector_len: int, dtype_bytes: int = 8) -> float:

@@ -22,11 +22,10 @@ import enum
 
 import numpy as np
 
-from repro.faults.injector import active as _faults, charge_transient
+from repro import ambient
+from repro.faults.injector import charge_transient
 from repro.hw.clock import SimClock
 from repro.hw.spec import SW26010Params, SW_PARAMS
-from repro.metrics.registry import active as _metrics
-from repro.trace.tracer import active as _tracer
 
 
 class DMAMode(enum.Enum):
@@ -154,23 +153,7 @@ class DMAEngine:
         Returns a contiguous copy, standing in for the LDM-resident buffer.
         """
         out = np.ascontiguousarray(src).copy()
-        per_cpe = out.nbytes / n_cpes
-        dt = self.transfer_time(per_cpe, n_cpes, block_bytes=block_bytes)
-        tr = _tracer()
-        if tr.enabled:
-            span = tr.emit(
-                "dma_get", "dma_transfer", track="dma",
-                start=self.clock.now, dur=dt,
-                args={"bytes": int(out.nbytes), "n_cpes": n_cpes},
-            )
-            if self._last_span is not None:
-                tr.edge(self._last_span, span)
-            self._last_span = span
-        self._record_metrics("get", out.nbytes, dt)
-        self.clock.advance(dt, category="dma")
-        if _faults().enabled:
-            # Corrupted transfers are re-issued; data is re-copied intact.
-            charge_transient("dma", self.clock, dt, track="dma")
+        self._charge("get", out.nbytes, n_cpes, block_bytes)
         return out
 
     def put(
@@ -185,30 +168,33 @@ class DMAEngine:
         if dst.shape != src.shape:
             raise ValueError(f"dma_put shape mismatch: {src.shape} -> {dst.shape}")
         np.copyto(dst, src)
-        per_cpe = src.nbytes / n_cpes
-        dt = self.transfer_time(per_cpe, n_cpes, block_bytes=block_bytes)
-        tr = _tracer()
-        if tr.enabled:
-            span = tr.emit(
-                "dma_put", "dma_transfer", track="dma",
+        self._charge("put", src.nbytes, n_cpes, block_bytes)
+
+    def _charge(
+        self, direction: str, nbytes: int, n_cpes: int, block_bytes: float | None
+    ) -> None:
+        """Price one executed transfer and charge it: span chained to the
+        engine's previous one, utilization counters, clock, fault retry."""
+        dt = self.transfer_time(nbytes / n_cpes, n_cpes, block_bytes=block_bytes)
+        amb = ambient.current()
+        if amb.tracer is not None:
+            span = amb.tracer.emit(
+                f"dma_{direction}", "dma_transfer", track="dma",
                 start=self.clock.now, dur=dt,
-                args={"bytes": int(src.nbytes), "n_cpes": n_cpes},
+                args={"bytes": int(nbytes), "n_cpes": n_cpes},
             )
             if self._last_span is not None:
-                tr.edge(self._last_span, span)
+                amb.tracer.edge(self._last_span, span)
             self._last_span = span
-        self._record_metrics("put", src.nbytes, dt)
+        if amb.metrics is not None:
+            amb.metrics.count("dma.bytes", int(nbytes), dir=direction)
+            amb.metrics.count("dma.transfers", 1)
+            amb.metrics.count("dma.busy_s", dt)
+            if dt > 0 and nbytes > 0:
+                amb.metrics.observe(
+                    "dma.achieved_frac", nbytes / dt / self.params.dma_peak_bw
+                )
         self.clock.advance(dt, category="dma")
-        if _faults().enabled:
+        if amb.faults is not None:
+            # Corrupted transfers are re-issued; data is re-copied intact.
             charge_transient("dma", self.clock, dt, track="dma")
-
-    def _record_metrics(self, direction: str, nbytes: int, dt: float) -> None:
-        """Feed the utilization counters for one executed transfer."""
-        mx = _metrics()
-        if not mx.enabled:
-            return
-        mx.count("dma.bytes", int(nbytes), dir=direction)
-        mx.count("dma.transfers", 1)
-        mx.count("dma.busy_s", dt)
-        if dt > 0 and nbytes > 0:
-            mx.observe("dma.achieved_frac", nbytes / dt / self.params.dma_peak_bw)

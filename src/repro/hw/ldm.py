@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import ambient
 from repro.errors import LDMAllocationError
 from repro.hw.spec import SW_PARAMS
-from repro.metrics.registry import active as _metrics
-from repro.trace.tracer import active as _tracer
 
 
 @dataclass(frozen=True)
@@ -79,15 +78,14 @@ class LDMAllocator:
         self._buffers[name] = buf
         self._used += nbytes
         self._high_water = max(self._high_water, self._used)
-        tr = _tracer()
-        if tr.enabled:
-            tr.instant_event(
+        amb = ambient.current()
+        if amb.tracer is not None:
+            amb.tracer.instant_event(
                 f"ldm_alloc {name}", "ldm_alloc", track="ldm",
                 args={"nbytes": nbytes, "used": self._used, "free": self.free},
             )
-        mx = _metrics()
-        if mx.enabled:
-            mx.high_water("ldm.high_water_bytes", self._used)
+        if amb.metrics is not None:
+            amb.metrics.high_water("ldm.high_water_bytes", self._used)
         return buf
 
     def require(self, name: str, nbytes: int) -> LDMBuffer:

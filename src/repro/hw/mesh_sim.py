@@ -20,10 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.faults.injector import active as _faults
+from repro import ambient
 from repro.hw.spec import SW26010Params, SW_PARAMS
-from repro.metrics.registry import active as _metrics
-from repro.trace.tracer import active as _tracer
 
 
 @dataclass(frozen=True)
@@ -115,11 +113,11 @@ class MeshSimulator:
             prior = [t for s, t in step_done[r][c].items() if s < step]
             return max(prior) if prior else 0.0
 
-        tr = _tracer()
-        fi = _faults()
+        amb = ambient.current()
+        tr = amb.tracer
         # Mesh-link degradation cuts every bus's bandwidth for the whole
         # schedule (transfer times stretch by the plan's mesh_factor).
-        degrade = fi.mesh_degrade() if fi.enabled else 1.0
+        degrade = amb.faults.mesh_degrade() if amb.faults is not None else 1.0
         for op in ops:
             r, c = op.src
             if op.kind == "compute":
@@ -129,7 +127,7 @@ class MeshSimulator:
                 dur = op.flops / (self.params.cpe_peak_flops * op.efficiency)
                 finish = start + dur
                 cpe_ready[r][c] = finish
-                if tr.enabled:
+                if tr is not None:
                     tr.emit(
                         f"compute s{op.step}", "cpe_compute",
                         track=f"mesh/cpe_r{r}c{c}", start=start, dur=dur,
@@ -150,7 +148,7 @@ class MeshSimulator:
                 bus_busy[bus] = bus_busy.get(bus, 0.0) + dur
                 # Contention stall: the op was ready but its bus was not.
                 bus_wait[bus] = bus_wait.get(bus, 0.0) + (start - ready)
-                if tr.enabled:
+                if tr is not None:
                     tr.emit(
                         f"{op.kind} s{op.step}", "rlc_exchange",
                         track=f"mesh/{bus}", start=start, dur=dur,
@@ -175,8 +173,8 @@ class MeshSimulator:
             trace.finish_s = max(trace.finish_s, finish)
         trace.bus_busy_s = bus_busy
         trace.bus_wait_s = bus_wait
-        mx = _metrics()
-        if mx.enabled:
+        mx = amb.metrics
+        if mx is not None:
             for bus, busy in bus_busy.items():
                 mx.count("mesh.bus_busy_s", busy, bus=bus)
             for bus, wait in bus_wait.items():

@@ -14,11 +14,10 @@ converts inline with SIMD shuffles — the model exposes that constraint via
 
 from __future__ import annotations
 
-from repro.faults.injector import active as _faults, charge_transient
+from repro import ambient
+from repro.faults.injector import charge_transient
 from repro.hw.clock import SimClock
 from repro.hw.spec import SW26010Params, SW_PARAMS
-from repro.metrics.registry import active as _metrics
-from repro.trace.tracer import active as _tracer
 
 
 class RegisterComm:
@@ -69,45 +68,29 @@ class RegisterComm:
 
     def charge_p2p(self, nbytes: float, n_concurrent: int = 1) -> None:
         """Advance the clock by a P2P transfer."""
-        dt = self.p2p_time(nbytes, n_concurrent)
-        tr = _tracer()
-        if tr.enabled:
-            span = tr.emit(
-                "rlc_p2p", "rlc_exchange", track="rlc",
-                start=self.clock.now, dur=dt,
-                args={"bytes": nbytes, "n_concurrent": n_concurrent},
-            )
-            if self._last_span is not None:
-                tr.edge(self._last_span, span)
-            self._last_span = span
-        self._record_metrics("p2p", nbytes, n_concurrent, dt)
-        self.clock.advance(dt, category="rlc")
-        if _faults().enabled:
-            # A lost register-bus message is simply re-sent.
-            charge_transient("rlc", self.clock, dt, track="rlc")
+        self._charge("p2p", nbytes, n_concurrent, self.p2p_time(nbytes, n_concurrent))
 
     def charge_broadcast(self, nbytes: float, n_concurrent: int = 1) -> None:
         """Advance the clock by a broadcast transfer."""
-        dt = self.broadcast_time(nbytes, n_concurrent)
-        tr = _tracer()
-        if tr.enabled:
-            span = tr.emit(
-                "rlc_bcast", "rlc_exchange", track="rlc",
+        self._charge("bcast", nbytes, n_concurrent, self.broadcast_time(nbytes, n_concurrent))
+
+    def _charge(self, kind: str, nbytes: float, n_concurrent: int, dt: float) -> None:
+        """Charge one ``dt``-second exchange: span chained to the bus's
+        previous one, utilization counters, clock, fault retry."""
+        amb = ambient.current()
+        if amb.tracer is not None:
+            span = amb.tracer.emit(
+                f"rlc_{kind}", "rlc_exchange", track="rlc",
                 start=self.clock.now, dur=dt,
                 args={"bytes": nbytes, "n_concurrent": n_concurrent},
             )
             if self._last_span is not None:
-                tr.edge(self._last_span, span)
+                amb.tracer.edge(self._last_span, span)
             self._last_span = span
-        self._record_metrics("bcast", nbytes, n_concurrent, dt)
+        if amb.metrics is not None:
+            amb.metrics.count("rlc.bytes", float(nbytes) * max(1, n_concurrent), kind=kind)
+            amb.metrics.count("rlc.busy_s", dt)
         self.clock.advance(dt, category="rlc")
-        if _faults().enabled:
+        if amb.faults is not None:
+            # A lost register-bus message is simply re-sent.
             charge_transient("rlc", self.clock, dt, track="rlc")
-
-    def _record_metrics(self, kind: str, nbytes: float, n_concurrent: int, dt: float) -> None:
-        """Feed the register-bus utilization counters for one charge."""
-        mx = _metrics()
-        if not mx.enabled:
-            return
-        mx.count("rlc.bytes", float(nbytes) * max(1, n_concurrent), kind=kind)
-        mx.count("rlc.busy_s", dt)

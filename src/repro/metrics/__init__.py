@@ -26,12 +26,7 @@ from repro.metrics.registry import (
     HighWaterMark,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
-    NULL_METRICS,
-    active,
     collecting,
-    install,
-    suspended,
 )
 
 _LAZY = {
@@ -70,12 +65,7 @@ __all__ = [
     "HighWaterMark",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_METRICS",
-    "active",
     "collecting",
-    "install",
-    "suspended",
     "LayerRoofline",
     "RooflineVerdict",
     "bound_summary",

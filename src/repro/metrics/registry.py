@@ -18,12 +18,12 @@ pairs (``dir="get"``, ``collective="rhd"``) and ambient label context can
 be pushed with :meth:`MetricsRegistry.labelled`, so a collective's inner
 ``account_step`` calls are attributed to it without plumbing.
 
-Collection is ambient and **off by default**, exactly like tracing:
-:func:`active` returns a shared :class:`NullRegistry` whose mutators raise
-(instrumentation must guard with ``if mx.enabled:``), so the disabled-mode
-cost is one attribute check and no simulated-time arithmetic ever depends
-on it (pinned by ``tests/test_metrics_integration.py``). Enable with
-:func:`collecting`::
+Collection is ambient and **off by default**, exactly like tracing: the
+``metrics`` field of the :mod:`repro.ambient` record is ``None``
+(instrumentation guards with ``if amb.metrics is not None:``), so the
+disabled-mode cost is one attribute read and no simulated-time arithmetic
+ever depends on it (pinned by ``tests/test_metrics_integration.py``).
+Enable with :func:`collecting`::
 
     from repro import metrics
 
@@ -37,6 +37,8 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from typing import Any, Iterator, Mapping
+
+from repro.ambient import installed
 
 #: The counter taxonomy. Instrumentation sites use these names; the session
 #: report and docs group by the dotted prefix. See ``docs/observability.md``.
@@ -60,6 +62,10 @@ METRIC_NAMES = (
     "comm.bucket_launches",  # counter: nonblocking bucket allreduces launched
     "comm.overlap_hidden_s",   # counter: comm seconds hidden behind backward
     "comm.overlap_exposed_s",  # counter: comm seconds left on the critical path
+    "comm.p2p_sends",       # counter: point-to-point transfers (blocking and isend)
+    "comm.p2p_bytes",       # counter, labels link=intra|cross: p2p wire traffic
+    "comm.p2p_hidden_s",    # counter: p2p seconds hidden behind compute
+    "comm.p2p_exposed_s",   # counter: p2p seconds left on the critical path
     "layer.passes",         # counter, labels dir=fwd|bwd, layer_type=...
     "solver.iterations",    # counter: completed solver iterations
     "faults.injected",      # counter, label kind=dma_corrupt|rlc_fail|...: faults fired
@@ -69,6 +75,9 @@ METRIC_NAMES = (
     "faults.timeout_s",     # counter: simulated seconds spent waiting out timeouts
     "faults.rank_rebuilds",  # counter: elastic communicator rebuilds
     "faults.slow_s",        # counter: extra seconds from stragglers/degradation
+    "pipeline.bubble_frac",     # gauge: idle fraction of the walked pipeline schedule
+    "pipeline.makespan_s",      # gauge: one pipelined iteration's simulated seconds
+    "pipeline.stage_imbalance",  # gauge: slowest stage cost / mean - 1 (0 = balanced)
     "serve.requests",       # counter, label outcome=completed|shed: offered requests
     "serve.batches",        # counter: batches dispatched by the dynamic batcher
     "serve.batch_size",     # histogram: per-dispatch batch sizes
@@ -225,9 +234,6 @@ class MetricsRegistry:
     win on collision).
     """
 
-    #: Instrumentation sites check this before doing any work.
-    enabled: bool = True
-
     def __init__(self) -> None:
         self._metrics: dict[tuple[str, tuple[tuple[str, str], ...]], Instrument] = {}
         self._label_stack: list[dict[str, str]] = []
@@ -325,61 +331,9 @@ class MetricsRegistry:
         return len(self._metrics)
 
 
-class NullRegistry(MetricsRegistry):
-    """The disabled registry: mutators raise, queries see nothing.
-
-    Instrumentation guards on :attr:`enabled`, so with the null registry
-    installed the per-call cost is one function call and one attribute
-    check; a mutator reaching it is an unguarded instrumentation bug.
-    """
-
-    enabled = False
-
-    def _instrument(self, name: str, labels: Mapping[str, str], factory: type) -> Any:
-        raise RuntimeError(
-            "NullRegistry mutated; guard instrumentation with `if metrics.enabled`"
-        )
-
-    @contextmanager
-    def labelled(self, **labels: str) -> Iterator[None]:
-        yield
-
-
-#: Shared disabled registry; identity-compared by tests.
-NULL_METRICS = NullRegistry()
-
-_active: MetricsRegistry = NULL_METRICS
-
-
-def active() -> MetricsRegistry:
-    """The ambient registry (the shared :data:`NULL_METRICS` when disabled)."""
-    return _active
-
-
-def install(registry: MetricsRegistry) -> MetricsRegistry:
-    """Make ``registry`` ambient; returns the previously installed one."""
-    global _active
-    previous = _active
-    _active = registry
-    return previous
-
-
 @contextmanager
 def collecting(registry: MetricsRegistry | None = None) -> Iterator[MetricsRegistry]:
     """Enable metrics collection for the block; yields the registry."""
     mx = registry if registry is not None else MetricsRegistry()
-    previous = install(mx)
-    try:
+    with installed(metrics=mx):
         yield mx
-    finally:
-        install(previous)
-
-
-@contextmanager
-def suspended() -> Iterator[None]:
-    """Temporarily disable collection (e.g. around plan-search churn)."""
-    previous = install(NULL_METRICS)
-    try:
-        yield
-    finally:
-        install(previous)

@@ -21,17 +21,17 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro import ambient
 from repro.hw.spec import SW26010Params, SW_PARAMS
-from repro.metrics.registry import MetricsRegistry, collecting
+from repro.metrics.registry import MetricsRegistry
 from repro.metrics.roofline import (
     LayerRoofline,
     bound_summary,
     render_roofline,
     roofline_rows,
 )
-from repro.simmpi.comm import SimComm
-from repro.trace.session import emit_iteration, replay_rhd, session_layout
-from repro.trace.tracer import Tracer, tracing
+from repro.trace.session import replay_rhd, run_iterations, session_layout
+from repro.trace.tracer import Tracer
 from repro.utils.tables import Table
 from repro.utils.units import format_bytes, format_time
 
@@ -162,16 +162,16 @@ def collect_training_step(
     """Measure one simulated data-parallel training step of ``net``.
 
     Mirrors :func:`repro.trace.session.trace_training_step`'s workload and
-    shares its :func:`~repro.trace.session.session_layout` placement rules. Layer costs feed the registry (and, when ``tracer``
-    is given, the span timeline) once per rank per iteration; the gradient
-    allreduce runs through :func:`replay_rhd`, whose ``account_step`` hooks
-    feed the ``comm.*`` counters.
+    shares its :func:`~repro.trace.session.session_layout` placement rules
+    and its :func:`~repro.trace.session.run_iterations` timeline. Layer
+    costs feed the registry (and, when ``tracer`` is given, the span
+    timeline) once per rank per iteration; the gradient allreduce runs
+    through :func:`replay_rhd`, whose ``account_step`` hooks feed the
+    ``comm.*`` counters.
     """
     fabric, placement = session_layout(ranks, scheme, nodes_per_supernode)
     p = params or SW_PARAMS
     mx = registry if registry is not None else MetricsRegistry()
-    tr = tracer if tracer is not None else Tracer()
-    emit_trace = tracer is not None
 
     # Price every layer exactly once (plan search is deterministic but not
     # cheap); the same cost objects feed rows, counters and spans.
@@ -180,7 +180,7 @@ def collect_training_step(
     per_iter_s = sum(r.total_s for r in rows)
     payload = float(net.param_bytes())
 
-    with collecting(mx):
+    with ambient.installed(metrics=mx, tracer=tracer):
         # --- compute phase: identical on every rank ----------------------- #
         for rank in range(ranks):
             with mx.labelled(rank=str(rank)):
@@ -198,30 +198,21 @@ def collect_training_step(
                             mx.count("dma.busy_s", c.dma_s)
                         if c.rlc_s > 0:
                             mx.count("rlc.busy_s", c.rlc_s)
-            if emit_trace:
-                with tr.context(f"rank{rank}"):
-                    for _ in range(iterations):
-                        emit_iteration(tr, net, costs)
 
-        # --- allreduce phase ---------------------------------------------- #
-        allreduce_s = 0.0
-        steps = 0
-        intra = cross = 0.0
-        if ranks > 1:
-            for i in range(iterations):
-                comm = SimComm(fabric, placement)
-                with mx.labelled(collective="rhd"):
-                    if emit_trace:
-                        with tracing(tr), tr.shifted(
-                            per_iter_s * (i + 1) + allreduce_s
-                        ):
-                            res = replay_rhd(comm, payload)
-                    else:
-                        res = replay_rhd(comm, payload)
-                allreduce_s += res.time_s
-                steps += res.steps
-                intra += res.bytes_intra
-                cross += res.bytes_cross
+        # --- timeline and allreduce phase --------------------------------- #
+        with mx.labelled(collective="rhd"):
+            results = run_iterations(
+                net, costs, lambda comm: replay_rhd(comm, payload),
+                ranks=ranks, iterations=iterations, fabric=fabric, placement=placement,
+            )
+    allreduce_s = 0.0
+    steps = 0
+    intra = cross = 0.0
+    for res in results:
+        allreduce_s += res.time_s
+        steps += res.steps
+        intra += res.bytes_intra
+        cross += res.bytes_cross
 
     compute_s = per_iter_s * iterations
     wall_s = compute_s + allreduce_s

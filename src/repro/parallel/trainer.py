@@ -25,13 +25,12 @@ from typing import Callable
 
 import numpy as np
 
+from repro import ambient
 from repro.errors import CollectiveTimeout, FaultError
-from repro.faults.injector import active as _faults
 from repro.faults.recovery import rebuild_comm, rewind_net_sources, survivor_indices
 from repro.frame.net import Net
 from repro.frame.snapshot import load_solver, save_solver, snapshot_path
 from repro.frame.solver import SGDSolver
-from repro.metrics.registry import active as _metrics
 from repro.parallel.packing import BucketedPacker, GradientPacker
 from repro.simmpi.comm import SimComm
 from repro.simmpi.nonblocking import IAllreduceQueue
@@ -194,8 +193,8 @@ class DistributedTrainer:
         stats = DistributedStats()
         end = self.global_iter + n_iters
         while self.global_iter < end:
-            fi = _faults()
-            if fi.enabled:
+            fi = ambient.current().faults
+            if fi is not None:
                 fi.begin_iteration(self.global_iter)
                 fi.set_rank_map(self.active)
                 self._mark_failures(fi)
@@ -365,14 +364,13 @@ class DistributedTrainer:
             rewind_net_sources(net, resume)
         self.global_iter = resume
         self.recoveries.append((resume, tuple(survivors)))
-        fi = _faults()
-        if fi.enabled:
-            fi.set_rank_map(self.active)
-            fi.note_crash(frozenset(dead_external))
-            fi.note_rebuild()
-        mx = _metrics()
-        if mx.enabled:
-            mx.count("faults.rank_rebuilds", 1)
+        amb = ambient.current()
+        if amb.faults is not None:
+            amb.faults.set_rank_map(self.active)
+            amb.faults.note_crash(frozenset(dead_external))
+            amb.faults.note_rebuild()
+        if amb.metrics is not None:
+            amb.metrics.count("faults.rank_rebuilds", 1)
 
     def _snapshot(self) -> None:
         """Persist solver state; replicas are identical, one file suffices."""

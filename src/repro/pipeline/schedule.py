@@ -31,8 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.metrics.registry import active as _metrics
-from repro.trace.scaling import active as _scaling
+from repro import ambient
 from repro.trace.tracer import Tracer
 
 SCHEDULES = ("fill_drain", "1f1b")
@@ -188,8 +187,8 @@ def simulate_pipeline(
     nbytes = list(xfer_bytes) if xfer_bytes is not None else [0.0] * (S - 1)
     if len(fwd_x) != S - 1 or len(bwd_x) != S - 1 or len(nbytes) != S - 1:
         raise ValueError(f"boundary arrays must have length {S - 1}")
-    sc = _scaling()
-    if sc.enabled:
+    sc = ambient.current().scaling
+    if sc is not None:
         stage_fwd_s = [t * sc.factor("stage") for t in stage_fwd_s]
         stage_bwd_s = [t * sc.factor("stage") for t in stage_bwd_s]
         fwd_x = [t * sc.factor("p2p") for t in fwd_x]
@@ -268,8 +267,8 @@ def simulate_pipeline(
         ops=tuple(sorted(ops, key=lambda o: (o.stage, o.start_s))),
         xfers=tuple(sorted(xfers, key=lambda x: (x.kind, x.src, x.start_s))),
     )
-    mx = _metrics()
-    if mx.enabled:
+    mx = ambient.current().metrics
+    if mx is not None:
         mx.gauge("pipeline.bubble_frac", timeline.bubble_frac)
         mx.gauge("pipeline.makespan_s", timeline.makespan_s)
     return timeline
@@ -294,8 +293,6 @@ def emit_pipeline_trace(
     trainer passes its running simulated time so consecutive iterations
     don't overlap on the shared tracks.
     """
-    if not tracer.enabled:
-        return
     op_spans = {}
     xfer_spans = {}
     for op in sorted(timeline.ops, key=lambda o: (o.stage, o.start_s)):

@@ -38,9 +38,9 @@ from typing import Callable
 
 import numpy as np
 
+from repro import ambient
 from repro.frame.net import Net
 from repro.frame.solver import SGDSolver
-from repro.metrics.registry import active as _metrics
 from repro.parallel.packing import GradientPacker
 from repro.pipeline.partition import StagePlan, plan_stages
 from repro.pipeline.schedule import emit_pipeline_trace, simulate_pipeline
@@ -50,7 +50,6 @@ from repro.simmpi.nonblocking import IAllreduceQueue
 from repro.simmpi.p2p import P2PTransport
 from repro.simmpi.reorder import block_placement
 from repro.topology.fabric import TaihuLightFabric
-from repro.trace.tracer import active as _tracer
 
 
 @dataclass
@@ -298,12 +297,11 @@ class PipelineTrainer:
 
     def _record(self, timeline, stats: PipelineStats) -> None:
         """Emit one walked iteration's trace/metrics and advance time."""
-        tr = _tracer()
-        if tr.enabled:
-            emit_pipeline_trace(tr, timeline, origin_s=self._origin_s)
-        mx = _metrics()
-        if mx.enabled:
-            mx.gauge("pipeline.stage_imbalance", self.plan.stage_imbalance)
+        amb = ambient.current()
+        if amb.tracer is not None:
+            emit_pipeline_trace(amb.tracer, timeline, origin_s=self._origin_s)
+        if amb.metrics is not None:
+            amb.metrics.gauge("pipeline.stage_imbalance", self.plan.stage_imbalance)
         self._origin_s += timeline.makespan_s
         stats.pipeline_time_s += timeline.makespan_s
         stats.bubble_fracs.append(timeline.bubble_frac)

@@ -33,12 +33,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.faults.injector import active as _injector, transient_delay
-from repro.metrics.registry import active as _metrics
+from repro import ambient
+from repro.faults.injector import transient_delay
 from repro.serve.arrivals import Request
 from repro.serve.report import RequestRecord, ServeReport
-from repro.trace.scaling import active as _scaling
-from repro.trace.tracer import Span, active as _tracer
+from repro.trace.tracer import Span
 
 
 @dataclass(frozen=True)
@@ -88,13 +87,12 @@ class ServingEngine:
     ) -> ServeReport:
         """Serve every request; returns the full latency report."""
         cfg = self.config
-        tr = _tracer()
-        mx = _metrics()
-        fi = _injector()
+        amb = ambient.current()
+        tr, mx, fi = amb.tracer, amb.metrics, amb.faults
         # Degradations apply to the whole session: a straggling node or a
         # degraded CPE mesh slows every batch by a constant factor.
         slow = 1.0
-        if fi.enabled:
+        if fi is not None:
             slow = max(fi.comm_scale(0, 0), fi.mesh_degrade())
 
         pending = sorted(requests, key=lambda r: (r.arrival_s, r.rid))
@@ -116,9 +114,9 @@ class ServingEngine:
                     records.append(
                         RequestRecord(rid=req.rid, arrival_s=req.arrival_s, shed=True)
                     )
-                    if mx.enabled:
+                    if mx is not None:
                         mx.count("serve.requests", 1, outcome="shed")
-                    if tr.enabled:
+                    if tr is not None:
                         tr.instant_event(
                             f"req{req.rid} shed", "request_shed",
                             track="serve/requests", start=req.arrival_s,
@@ -126,9 +124,9 @@ class ServingEngine:
                         )
                     continue
                 queue.append(req)
-                if mx.enabled:
+                if mx is not None:
                     mx.high_water("serve.queue_depth", len(queue))
-                if tr.enabled:
+                if tr is not None:
                     queued_spans[req.rid] = tr.instant_event(
                         f"req{req.rid}", "request_queued",
                         track="serve/requests", start=req.arrival_s,
@@ -153,15 +151,14 @@ class ServingEngine:
             batch = [queue.popleft() for _ in range(min(len(queue), cfg.max_batch))]
             size = len(batch)
             base_s = self.cost_model.compute_s(size) * slow
-            sc = _scaling()
-            if sc.enabled:
+            if amb.scaling is not None:
                 # What-if validation: one multiply on the batch's forward
                 # time, the same operation the projection applies.
-                base_s *= sc.factor("batch")
+                base_s *= amb.scaling.factor("batch")
             compute_s = base_s + transient_delay(
                 "comm", base_s, track="serve/engine", at_s=t
             )
-            if tr.enabled:
+            if tr is not None:
                 # When this batch *could* have dispatched, engine
                 # availability aside: its composition's earliest trigger
                 # (full / deadline / arrivals exhausted), no earlier than
@@ -207,14 +204,14 @@ class ServingEngine:
                     batch_size=size,
                 )
                 records.append(rec)
-                if mx.enabled:
+                if mx is not None:
                     mx.count("serve.requests", 1, outcome="completed")
                     mx.observe("serve.queue_wait_s", queue_s)
                     mx.observe("serve.batch_wait_s", batch_s)
                     mx.observe("serve.latency_s", rec.latency_s)
                     if rec.latency_s > cfg.slo_s:
                         mx.count("serve.slo_miss", 1)
-            if mx.enabled:
+            if mx is not None:
                 mx.count("serve.batches", 1)
                 mx.observe("serve.batch_size", size)
                 mx.count("serve.compute_s", compute_s)
@@ -233,5 +230,5 @@ class ServingEngine:
             makespan_s=t,
             n_batches=n_batches,
             records=records,
-            fault_seed=fi.plan.seed if fi.enabled else None,
+            fault_seed=fi.plan.seed if fi is not None else None,
         )

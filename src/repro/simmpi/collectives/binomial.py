@@ -12,9 +12,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.metrics.registry import active as _metrics
 from repro.simmpi.comm import CollectiveResult, SimComm
-from repro.simmpi.collectives.schedule import Step, execute
+from repro.simmpi.collectives.schedule import Step, collective, execute
 
 
 def binomial_steps(p: int, n: int, itemsize: int) -> Iterator[Step]:
@@ -35,9 +34,9 @@ def binomial_steps(p: int, n: int, itemsize: int) -> Iterator[Step]:
         yield Step(pairs, 0.0, tuple((r + d, r, 0, n, False) for r in src))
 
 
+@collective("binomial")
 def binomial_allreduce(
     comm: SimComm, buffers: list[np.ndarray], *, average: bool = False
 ) -> CollectiveResult:
     """In-place binomial-tree allreduce (works for any rank count)."""
-    with _metrics().labelled(collective="binomial"):
-        return execute(comm, buffers, binomial_steps, average=average)
+    return execute(comm, buffers, binomial_steps, average=average)

@@ -29,10 +29,9 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.metrics.registry import active as _metrics
 from repro.simmpi.comm import CollectiveResult, SimComm
 from repro.simmpi.collectives.reduce_ops import block_offsets
-from repro.simmpi.collectives.schedule import Step, execute
+from repro.simmpi.collectives.schedule import Step, collective, execute
 
 
 def _largest_pow2_leq(p: int) -> int:
@@ -100,9 +99,9 @@ def rhd_steps(p: int, n: int, itemsize: int) -> Iterator[Step]:
         yield Step(fold, 0.0, tuple((2 * i + 1, 2 * i, 0, n, False) for i in range(r)))
 
 
+@collective("rhd")
 def rhd_allreduce(
     comm: SimComm, buffers: list[np.ndarray], *, average: bool = False
 ) -> CollectiveResult:
     """In-place recursive halving/doubling allreduce."""
-    with _metrics().labelled(collective="rhd"):
-        return execute(comm, buffers, rhd_steps, average=average)
+    return execute(comm, buffers, rhd_steps, average=average)

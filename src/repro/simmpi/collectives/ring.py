@@ -12,10 +12,9 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.metrics.registry import active as _metrics
 from repro.simmpi.comm import CollectiveResult, SimComm
 from repro.simmpi.collectives.reduce_ops import block_offsets
-from repro.simmpi.collectives.schedule import Step, execute
+from repro.simmpi.collectives.schedule import Step, collective, execute
 
 
 def ring_steps(p: int, n: int, itemsize: int) -> Iterator[Step]:
@@ -40,9 +39,9 @@ def ring_steps(p: int, n: int, itemsize: int) -> Iterator[Step]:
             # All ranks reduce their received chunk concurrently.
             yield Step(pairs, max(nb for _, _, nb in pairs) if reduce else 0.0, moves)
 
+@collective("ring")
 def ring_allreduce(
     comm: SimComm, buffers: list[np.ndarray], *, average: bool = False
 ) -> CollectiveResult:
     """In-place ring allreduce across ``comm.p`` ranks (see :func:`ring_steps`)."""
-    with _metrics().labelled(collective="ring"):
-        return execute(comm, buffers, ring_steps, average=average)
+    return execute(comm, buffers, ring_steps, average=average)

@@ -11,11 +11,13 @@ counters and trace spans agree exactly between them.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro import ambient
 from repro.simmpi.comm import CollectiveResult, SimComm
 from repro.simmpi.collectives.reduce_ops import check_buffers
 
@@ -38,6 +40,28 @@ class Step:
 
 #: A schedule generator: ``(p, n_elements, itemsize) -> steps``.
 Schedule = Callable[[int, int, int], Iterable[Step]]
+
+
+#: An allreduce entry point: ``(comm, buffers, *, average) -> result``.
+Allreduce = Callable[..., CollectiveResult]
+
+
+def collective(name: str) -> Callable[[Allreduce], Allreduce]:
+    """Name an allreduce: every counter it feeds while metrics are being
+    collected carries the label ``collective=<name>``."""
+
+    def wrap(fn: Allreduce) -> Allreduce:
+        @functools.wraps(fn)
+        def labelled(comm: SimComm, buffers: list[np.ndarray], *, average: bool = False):
+            mx = ambient.current().metrics
+            if mx is None:
+                return fn(comm, buffers, average=average)
+            with mx.labelled(collective=name):
+                return fn(comm, buffers, average=average)
+
+        return labelled
+
+    return wrap
 
 
 def run_steps(comm: SimComm, work: list[np.ndarray], steps: Iterable[Step]) -> CollectiveResult:

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.metrics.registry import active as _metrics
 from repro.simmpi.comm import CollectiveResult, SimComm
 from repro.simmpi.collectives.rhd import rhd_steps
-from repro.simmpi.collectives.schedule import execute
+from repro.simmpi.collectives.schedule import collective, execute
 from repro.simmpi.reorder import round_robin_placement
 from repro.topology.fabric import TaihuLightFabric
 from repro.topology.cost_model import LinearCostModel
@@ -45,6 +44,7 @@ def make_topo_aware_comm(
     return SimComm(fabric, placement, cost=cost, gamma=gamma)
 
 
+@collective("topo_aware")
 def topo_aware_allreduce(
     comm: SimComm, buffers: list[np.ndarray], *, average: bool = False
 ) -> CollectiveResult:
@@ -56,13 +56,12 @@ def topo_aware_allreduce(
     clone inherits ``comm``'s crashed ranks and timeout, and its simulated
     time is folded back into ``comm.clock``.
     """
-    with _metrics().labelled(collective="topo_aware"):
-        if comm.placement.name == "round-robin":
-            return execute(comm, buffers, rhd_steps, average=average)
-        renumbered = make_topo_aware_comm(
-            comm.fabric, comm.p, cost=comm.cost, gamma=comm.gamma
-        )
-        renumbered.failed_ranks, renumbered.timeout_s = comm.failed_ranks, comm.timeout_s
-        result = execute(renumbered, buffers, rhd_steps, average=average)
-        comm.clock.advance(renumbered.clock.now, category="comm")
-        return result
+    if comm.placement.name == "round-robin":
+        return execute(comm, buffers, rhd_steps, average=average)
+    renumbered = make_topo_aware_comm(
+        comm.fabric, comm.p, cost=comm.cost, gamma=comm.gamma
+    )
+    renumbered.failed_ranks, renumbered.timeout_s = comm.failed_ranks, comm.timeout_s
+    result = execute(renumbered, buffers, rhd_steps, average=average)
+    comm.clock.advance(renumbered.clock.now, category="comm")
+    return result

@@ -16,16 +16,15 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+from repro import ambient
 from repro.errors import CollectiveTimeout
-from repro.faults.injector import active as _faults, charge_transient
+from repro.faults.injector import charge_comm
 from repro.hw.clock import SimClock
 from repro.hw.spec import SW_PARAMS
 from repro.topology.cost_model import LinearCostModel
 from repro.topology.fabric import TaihuLightFabric
-from repro.metrics.registry import active as _metrics
 from repro.simmpi.process import Placement
-from repro.trace.scaling import active as _scaling
-from repro.trace.tracer import Span, active as _tracer
+from repro.trace.tracer import Span
 
 
 def reduce_gamma(engine: str = "cpe") -> float:
@@ -157,7 +156,8 @@ class SimComm:
             )
             if dead:
                 self._timeout(dead)
-        fi = _faults()
+        amb = ambient.current()
+        fi = amb.faults
         step_time = 0.0
         base_step_time = 0.0
         any_cross = False
@@ -165,7 +165,7 @@ class SimComm:
         for a, b, nbytes in pairs:
             t = self.pair_time(a, b, nbytes)
             base_step_time = max(base_step_time, t)
-            if fi.enabled:
+            if fi is not None:
                 # Straggler slowdown: the step lasts as long as its
                 # slowest (possibly degraded) pair.
                 t *= fi.comm_scale(a, b)
@@ -182,13 +182,12 @@ class SimComm:
         if reduce_bytes > 0:
             step_time += self.reduce_time(reduce_bytes)
             result.reduce_bytes += reduce_bytes
-        sc = _scaling()
-        if sc.enabled:
+        if amb.scaling is not None:
             # What-if validation: one multiply on the finished step time,
             # the same operation the critical-path projection applies.
-            step_time *= sc.factor("collective")
-        tr = _tracer()
-        if tr.enabled:
+            step_time *= amb.scaling.factor("collective")
+        tr = amb.tracer
+        if tr is not None:
             # One lockstep round: every participating rank is busy for the
             # full step on its own collective track. Ranks that sat out the
             # previous round still wait for it (lockstep), so every span
@@ -215,42 +214,34 @@ class SimComm:
                         tr.edge(prev, span)
             if first is not None:
                 self._prev_step_span = first
-        mx = _metrics()
-        if mx.enabled:
+        mx = amb.metrics
+        if mx is not None:
             mx.count("comm.steps", 1)
             mx.count("comm.bytes", max_bytes, link="cross" if any_cross else "intra")
             if reduce_bytes > 0:
                 mx.count("comm.reduce_bytes", reduce_bytes)
         result.add_step(step_time)
         self.clock.advance(step_time, category="comm")
-        if fi.enabled:
-            if slow_s > 0:
-                fi.note_slow()
-                if mx.enabled:
-                    mx.count("faults.slow_s", slow_s)
-            # Flaky-link retry: the whole lockstep step is repeated, time
-            # charged to the clock's "fault" category (the re-exchange
-            # carries identical data, so results stay bit-exact).
-            charge_transient("comm", self.clock, step_time, track="comm")
+        # Flaky-link retry repeats the whole lockstep step.
+        charge_comm(self.clock, step_time, slow_s)
 
     def _timeout(self, dead: frozenset[int]) -> None:
         """Wait out the timeout on ``dead`` ranks, then fail the collective."""
         self.clock.advance(self.timeout_s, category="fault")
-        tr = _tracer()
-        if tr.enabled:
-            tr.emit(
+        amb = ambient.current()
+        if amb.tracer is not None:
+            amb.tracer.emit(
                 "collective timeout", "fault_retry", track="comm",
                 start=self.clock.now - self.timeout_s, dur=self.timeout_s,
                 args={"ranks": sorted(dead)},
             )
-            tr.instant_event(
+            amb.tracer.instant_event(
                 "rank_crash", "fault_inject", track="comm",
                 start=self.clock.now, args={"ranks": sorted(dead)},
             )
-        mx = _metrics()
-        if mx.enabled:
-            mx.count("faults.timeouts", 1)
-            mx.count("faults.timeout_s", self.timeout_s)
+        if amb.metrics is not None:
+            amb.metrics.count("faults.timeouts", 1)
+            amb.metrics.count("faults.timeout_s", self.timeout_s)
         raise CollectiveTimeout(
             f"collective step timed out on crashed rank(s) {sorted(dead)}",
             ranks=dead,

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.metrics.registry import active as _metrics
+from repro import ambient
 from repro.simmpi.comm import CollectiveResult, SimComm
-from repro.trace.tracer import Span, active as _tracer
+from repro.trace.tracer import Span
 
 
 @dataclass
@@ -127,9 +127,9 @@ class IAllreduceQueue:
         )
         self.free_s = req.end_s
         self.pending.append(req)
-        tr = _tracer()
-        if tr.enabled:
-            req.launch_span = tr.instant_event(
+        amb = ambient.current()
+        if amb.tracer is not None:
+            req.launch_span = amb.tracer.instant_event(
                 f"iallreduce {tag}" if tag else "iallreduce",
                 "collective_launch",
                 track="comm/launch",
@@ -140,9 +140,8 @@ class IAllreduceQueue:
                     "queued_s": req.start_s - ready,
                 },
             )
-        mx = _metrics()
-        if mx.enabled:
-            mx.count("comm.bucket_launches", 1)
+        if amb.metrics is not None:
+            amb.metrics.count("comm.bucket_launches", 1)
         return req
 
     def wait_all(self, *, barrier_s: float | None = None) -> list[PendingCollective]:
@@ -153,11 +152,11 @@ class IAllreduceQueue:
         it as *exposed*. Returns the completed requests in launch order.
         """
         completed, self.pending = self.pending, []
-        tr = _tracer()
-        mx = _metrics()
+        amb = ambient.current()
+        tr, mx = amb.tracer, amb.metrics
         for req in completed:
             req.done = True
-            if tr.enabled:
+            if tr is not None:
                 svc_args = {"tag": req.tag, "ready_s": req.ready_s}
                 if barrier_s is not None:
                     svc_args["hidden_s"] = req.hidden_before(barrier_s)
@@ -180,10 +179,10 @@ class IAllreduceQueue:
                 continue
             hidden = req.hidden_before(barrier_s)
             exposed = req.comm_s - hidden
-            if mx.enabled:
+            if mx is not None:
                 mx.count("comm.overlap_hidden_s", hidden)
                 mx.count("comm.overlap_exposed_s", exposed)
-            if tr.enabled and hidden > 0:
+            if tr is not None and hidden > 0:
                 tr.emit(
                     f"overlap {req.tag}" if req.tag else "overlap",
                     "overlap_window",

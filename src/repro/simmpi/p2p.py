@@ -31,12 +31,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import ambient
 from repro.errors import CommunicatorError
-from repro.faults.injector import active as _faults, charge_transient
-from repro.metrics.registry import active as _metrics
+from repro.faults.injector import charge_comm
 from repro.simmpi.comm import CollectiveResult, SimComm
-from repro.trace.scaling import active as _scaling
-from repro.trace.tracer import Span, active as _tracer
+from repro.trace.tracer import Span
 
 
 @dataclass
@@ -128,13 +127,12 @@ class P2PTransport:
         """(final transfer seconds, straggler slowdown seconds)."""
         base = self.comm.pair_time(src, dst, nbytes)
         t = base
-        fi = _faults()
-        if fi.enabled:
-            t *= fi.comm_scale(src, dst)
+        amb = ambient.current()
+        if amb.faults is not None:
+            t *= amb.faults.comm_scale(src, dst)
         slow_s = t - base
-        sc = _scaling()
-        if sc.enabled:
-            t *= sc.factor("p2p")
+        if amb.scaling is not None:
+            t *= amb.scaling.factor("p2p")
         return t, slow_s
 
     def send(self, src: int, dst: int, payload, *, tag: str = "") -> P2PResult:
@@ -153,8 +151,9 @@ class P2PTransport:
         result = P2PResult(
             time_s=t, nbytes=nbytes, src=src, dst=dst, cross_supernode=cross
         )
-        tr = _tracer()
-        if tr.enabled:
+        amb = ambient.current()
+        tr = amb.tracer
+        if tr is not None:
             span = tr.emit(
                 f"send {src}->{dst}" + (f" {tag}" if tag else ""),
                 "p2p_transfer",
@@ -173,20 +172,11 @@ class P2PTransport:
                 tr.edge(self._prev_span, span)
             self._prev_span = span
             result.span = span
-        mx = _metrics()
-        if mx.enabled:
-            mx.count("comm.p2p_sends", 1)
-            mx.count("comm.p2p_bytes", nbytes, link="cross" if cross else "intra")
+        if amb.metrics is not None:
+            amb.metrics.count("comm.p2p_sends", 1)
+            amb.metrics.count("comm.p2p_bytes", nbytes, link="cross" if cross else "intra")
         self.comm.clock.advance(t, category="comm")
-        fi = _faults()
-        if fi.enabled:
-            if slow_s > 0:
-                fi.note_slow()
-                if mx.enabled:
-                    mx.count("faults.slow_s", slow_s)
-            # Flaky-link retry: the transfer is repeated with identical
-            # data, so results stay bit-exact (the "comm" transient site).
-            charge_transient("comm", self.comm.clock, t, track="comm")
+        charge_comm(self.comm.clock, t, slow_s)
         self._mailbox.setdefault((src, dst, tag), []).append(arr)
         return result
 
@@ -242,17 +232,10 @@ class P2PTransport:
         self.pending.append(req)
         self._mailbox.setdefault((src, dst, tag), []).append(arr)
         self.comm.clock.advance(t, category="comm")
-        fi = _faults()
-        mx = _metrics()
-        if fi.enabled:
-            if slow_s > 0:
-                fi.note_slow()
-                if mx.enabled:
-                    mx.count("faults.slow_s", slow_s)
-            charge_transient("comm", self.comm.clock, t, track="comm")
-        tr = _tracer()
-        if tr.enabled:
-            req.launch_span = tr.instant_event(
+        charge_comm(self.comm.clock, t, slow_s)
+        amb = ambient.current()
+        if amb.tracer is not None:
+            req.launch_span = amb.tracer.instant_event(
                 f"isend {src}->{dst}" + (f" {tag}" if tag else ""),
                 "collective_launch",
                 track="p2p/launch",
@@ -260,9 +243,9 @@ class P2PTransport:
                 args={"src": src, "dst": dst, "bytes": nbytes, "tag": tag,
                       "queued_s": req.start_s - ready},
             )
-        if mx.enabled:
-            mx.count("comm.p2p_sends", 1)
-            mx.count(
+        if amb.metrics is not None:
+            amb.metrics.count("comm.p2p_sends", 1)
+            amb.metrics.count(
                 "comm.p2p_bytes",
                 nbytes,
                 link="cross" if req.cross_supernode else "intra",
@@ -284,11 +267,11 @@ class P2PTransport:
         hidden/exposed around ``barrier_s`` like the collective queue.
         """
         completed, self.pending = self.pending, []
-        tr = _tracer()
-        mx = _metrics()
+        amb = ambient.current()
+        tr, mx = amb.tracer, amb.metrics
         for req in completed:
             req.done = True
-            if tr.enabled:
+            if tr is not None:
                 args = {
                     "src": req.src,
                     "dst": req.dst,
@@ -314,7 +297,7 @@ class P2PTransport:
                     tr.edge(self._last_service, svc)
                 self._last_service = svc
                 req.service_span = svc
-            if barrier_s is not None and mx.enabled:
+            if barrier_s is not None and mx is not None:
                 hidden = req.hidden_before(barrier_s)
                 mx.count("comm.p2p_hidden_s", hidden)
                 mx.count("comm.p2p_exposed_s", req.comm_s - hidden)

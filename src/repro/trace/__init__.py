@@ -4,8 +4,9 @@
 typed spans — DMA transfers, register-bus exchanges, CPE compute, LDM
 allocations, collective steps, layer passes, solver iterations — collected
 from instrumentation hooks in ``repro.hw``, ``repro.kernels``,
-``repro.simmpi`` and ``repro.frame``. Tracing is off by default (a no-op
-null tracer) and never changes simulated-time results.
+``repro.simmpi`` and ``repro.frame``. Tracing is off by default (the
+:mod:`repro.ambient` record holds no tracer) and never changes
+simulated-time results.
 
 Typical use::
 
@@ -27,21 +28,15 @@ workflow.
 
 from repro.trace.tracer import (
     EDGE_KINDS,
-    NULL_TRACER,
-    NullTracer,
     SPAN_CATEGORIES,
     Span,
     Tracer,
-    active,
     emit_cost_spans,
-    install,
     suspended,
     tracing,
 )
 from repro.trace.scaling import (
-    NULL_SCALING,
     CostScaling,
-    NullCostScaling,
     SCALE_CLASSES,
     scaling,
 )
@@ -56,19 +51,13 @@ from repro.trace.attribution import (
 
 __all__ = [
     "EDGE_KINDS",
-    "NULL_TRACER",
-    "NullTracer",
     "SPAN_CATEGORIES",
     "Span",
     "Tracer",
-    "active",
     "emit_cost_spans",
-    "install",
     "suspended",
     "tracing",
-    "NULL_SCALING",
     "CostScaling",
-    "NullCostScaling",
     "SCALE_CLASSES",
     "scaling",
     "to_chrome",

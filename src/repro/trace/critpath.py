@@ -40,8 +40,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
+from repro import ambient
 from repro.errors import CritPathError
-from repro.metrics.registry import active as _metrics
 from repro.trace.tracer import Span, Tracer
 
 #: Leaf span category -> what-if resource class.
@@ -513,8 +513,8 @@ def critical_path(
         n_edges=len(graph.edges),
         segments=segments,
     )
-    mx = _metrics()
-    if mx.enabled:
+    mx = ambient.current().metrics
+    if mx is not None:
         mx.count("trace.critpath.nodes", report.n_nodes)
         mx.count("trace.critpath.edges", report.n_edges)
         mx.gauge("trace.critpath.end_to_end_s", report.end_to_end_s)

@@ -3,9 +3,10 @@
 The what-if engine (:mod:`repro.trace.whatif`) projects a scaled scenario
 by re-walking the trace's dependency graph. Its *validation mode* re-runs
 the actual simulator with the same factors applied at the cost-model
-sites; this module is the ambient channel those sites consult, mirroring
-the tracer/metrics/fault patterns (a shared null object when disabled,
-``if sc.enabled`` guards, a context manager to install a real scaling).
+sites. The installed :class:`CostScaling` is the ``scaling`` field of the
+:mod:`repro.ambient` record (``None`` when no what-if is running); cost
+sites guard with ``if amb.scaling is not None`` and :func:`scaling`
+installs one for a block.
 
 Scale classes match the critical-path resource classes:
 
@@ -33,6 +34,8 @@ import dataclasses
 from contextlib import contextmanager
 from typing import Any, Iterator, Mapping
 
+from repro.ambient import installed
+
 #: The resource classes a what-if factor may target (besides ``layer:*``).
 SCALE_CLASSES = ("cpe", "dma", "rlc", "overhead", "collective", "batch", "p2p", "stage")
 
@@ -43,8 +46,6 @@ class CostScaling:
     Factors must be finite and > 0 — a zero factor would erase spans the
     projection still schedules, making validation meaningless.
     """
-
-    enabled: bool = True
 
     def __init__(self, factors: Mapping[str, float]) -> None:
         for cls, f in factors.items():
@@ -83,39 +84,8 @@ class CostScaling:
         return f"CostScaling({body})"
 
 
-class NullCostScaling(CostScaling):
-    """The disabled scaling: every factor is exactly 1 and nothing pays."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        self.factors = {}
-
-
-#: Shared disabled scaling; cost sites guard with ``if sc.enabled``.
-NULL_SCALING = NullCostScaling()
-
-_active: CostScaling = NULL_SCALING
-
-
-def active() -> CostScaling:
-    """The ambient scaling (the shared :data:`NULL_SCALING` when disabled)."""
-    return _active
-
-
-def install(sc: CostScaling) -> CostScaling:
-    """Make ``sc`` ambient; returns the previously installed one."""
-    global _active
-    previous = _active
-    _active = sc
-    return previous
-
-
 @contextmanager
 def scaling(sc: CostScaling) -> Iterator[CostScaling]:
     """Apply what-if factors to every instrumented cost site in the block."""
-    previous = install(sc)
-    try:
+    with installed(scaling=sc):
         yield sc
-    finally:
-        install(previous)

@@ -16,15 +16,16 @@ executes, without materializing the gradient buffers (a VGG-16 payload is
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
+from repro import ambient
 from repro.simmpi.collectives.rhd import rhd_steps
 from repro.simmpi.collectives.schedule import account
 from repro.simmpi.comm import CollectiveResult, SimComm
 from repro.simmpi.process import Placement
 from repro.simmpi.reorder import block_placement, round_robin_placement
 from repro.topology.fabric import TaihuLightFabric
-from repro.trace.scaling import active as _scaling
 from repro.trace.tracer import Span, Tracer, emit_layer_span, suspended, tracing
 
 
@@ -68,8 +69,8 @@ def _price_iteration(net) -> list:
     """
     with suspended():
         costs = net.sw_layer_costs()
-    sc = _scaling()
-    if sc.enabled:
+    sc = ambient.current().scaling
+    if sc is not None:
         # What-if validation: scale each layer's component costs exactly
         # as the projection does, then let total_s re-derive the
         # dual-pipeline bound from the scaled components.
@@ -111,6 +112,69 @@ def emit_iteration(tr: Tracer, net, costs: list) -> float:
     return dur
 
 
+def run_iterations(
+    net,
+    costs: list,
+    replay: Callable[[SimComm], CollectiveResult],
+    *,
+    ranks: int,
+    iterations: int,
+    fabric: TaihuLightFabric,
+    placement: Placement,
+) -> list[CollectiveResult]:
+    """Run ``iterations`` data-parallel steps of a priced cost table.
+
+    Each iteration's compute runs on every rank, emitted under
+    ``rank<r>/`` when a tracer is installed. With ``ranks > 1`` its
+    gradient allreduce follows: ``replay(comm)`` on a fresh communicator
+    whose clock starts where the compute ends. The next iteration starts
+    on every rank where that allreduce ends, so no rank computes on
+    gradients it has not received. Dep edges tie each allreduce's first
+    round to every rank's last backward pass, and every rank's next
+    forward pass to the allreduce's final round. Returns the allreduce
+    results in order.
+    """
+    tr = ambient.current().tracer
+    results: list[CollectiveResult] = []
+    end = 0.0  # where the previous phase ends on the shared timeline
+    final: Span | None = None  # the previous allreduce's final round
+    for _ in range(iterations):
+        last_bwd: list[Span] = []
+        if tr is not None:
+            for r in range(ranks):
+                with tr.context(f"rank{r}"):
+                    for track in ("layers", "solver"):
+                        tr.wait_until(track, end)
+                    mark = len(tr.spans)
+                    emit_iteration(tr, net, costs)
+                passes = [s for s in tr.spans[mark:] if s.cat in ("layer_fwd", "layer_bwd")]
+                if passes:
+                    if final is not None:
+                        tr.edge(final, passes[0])
+                    last_bwd.append(passes[-1])
+            end = tr.cursor("/rank0/layers")
+        if ranks == 1:
+            continue
+        comm = SimComm(fabric, placement)
+        comm.clock.advance(end, category="comm")
+        mark = len(tr.spans) if tr is not None else 0
+        results.append(replay(comm))
+        if tr is None:
+            continue
+        steps = [s for s in tr.spans[mark:] if s.cat == "collective_step"]
+        # Barrier: the first lockstep round waits on every rank's
+        # backward pass of the iteration it synchronizes.
+        for span in steps:
+            if span.name != "step0":
+                break
+            for bwd in last_bwd:
+                tr.edge(bwd, span)
+        if steps:
+            final = steps[-1]
+        end = comm.clock.now
+    return results
+
+
 @dataclass(frozen=True)
 class SessionSummary:
     """What one traced training step simulated."""
@@ -144,73 +208,35 @@ def trace_training_step(
     ``rank<r>/{solver,layers,cpe,dma,rlc}``); each iteration's gradient
     allreduce follows on ``rank<r>/collective``, priced over a TaihuLight
     fabric with ``round-robin`` (``scheme="improved"``) or ``block``
-    (``scheme="original"``) rank placement.
+    (``scheme="original"``) rank placement (see :func:`run_iterations`).
     """
     fabric, placement = session_layout(ranks, scheme, nodes_per_supernode)
     tr = tracer if tracer is not None else Tracer()
     payload = float(net.param_bytes())
-    compute_s = 0.0
-    allreduce_s = 0.0
-    steps = 0
-    first_fwd: dict[tuple[int, int], Span] = {}
-    last_bwd: dict[tuple[int, int], Span] = {}
     with tracing(tr):
         # Every rank runs the same iteration: price it once, emit it
         # ranks x iterations times.
         costs = _price_iteration(net)
-        for r in range(ranks):
-            with tr.context(f"rank{r}"):
-                for it in range(iterations):
-                    mark = len(tr.spans)
-                    emit_iteration(tr, net, costs)
-                    segment = tr.spans[mark:]
-                    fwds = [s for s in segment if s.cat == "layer_fwd"]
-                    bwds = [s for s in segment if s.cat == "layer_bwd"]
-                    if fwds:
-                        first_fwd[(r, it)] = fwds[0]
-                    if bwds:
-                        last_bwd[(r, it)] = bwds[-1]
-            compute_s = max(compute_s, tr.cursor(f"/rank{r}/layers"))
-        if ranks > 1:
-            # One allreduce per iteration, laid out after the compute phase
-            # it synchronizes. Each uses a fresh communicator whose clock
-            # is pre-advanced to the phase's place on the global timeline,
-            # so recorded step times accumulate from the offset exactly as
-            # the critical-path projection chains them.
-            per_iter = compute_s / iterations if iterations else 0.0
-            for i in range(iterations):
-                comm = SimComm(fabric, placement)
-                comm.clock.advance(per_iter * (i + 1) + allreduce_s, category="comm")
-                mark = len(tr.spans)
-                res = replay_rhd(comm, payload)
-                step_spans = [
-                    s for s in tr.spans[mark:] if s.cat == "collective_step"
-                ]
-                # Barrier: the first lockstep round waits on every rank's
-                # backward pass of the iteration it synchronizes.
-                for span in step_spans:
-                    if span.name != "step0":
-                        break
-                    for r in range(ranks):
-                        bwd = last_bwd.get((r, i))
-                        if bwd is not None:
-                            tr.edge(bwd, span)
-                # Sync: the next iteration's forward waits on this
-                # allreduce completing (its final round's representative).
-                if step_spans and i + 1 < iterations:
-                    for r in range(ranks):
-                        fwd = first_fwd.get((r, i + 1))
-                        if fwd is not None:
-                            tr.edge(step_spans[-1], fwd)
-                allreduce_s += res.time_s
-                steps += res.steps
+        results = run_iterations(
+            net, costs, lambda comm: replay_rhd(comm, payload),
+            ranks=ranks, iterations=iterations, fabric=fabric, placement=placement,
+        )
+    # Compute seconds of the sweeps back to back, added in the order a
+    # track cursor adds them (the allreduce waits are not compute).
+    sweep = [c.forward.total_s for _, c in costs] + [
+        c.backward.total_s for _, c in reversed(costs)
+    ]
+    compute_s = 0.0
+    for _ in range(iterations):
+        for dur in sweep:
+            compute_s += float(dur)
     summary = SessionSummary(
         model=net.name,
         ranks=ranks,
         iterations=iterations,
         compute_s=compute_s,
-        allreduce_s=allreduce_s,
-        allreduce_steps=steps,
+        allreduce_s=sum((res.time_s for res in results), 0.0),
+        allreduce_steps=sum(res.steps for res in results),
         payload_bytes=payload,
         scheme=scheme,
     )

@@ -11,10 +11,10 @@ Tracks are ``/``-separated paths (``rank0/dma``, ``mesh/row3``); the first
 segment becomes the Perfetto *process*, the rest the *thread*, giving the
 one-track-per-rank/resource layout the exporters render.
 
-Tracing is ambient and off by default: :func:`active` returns a shared
-:class:`NullTracer` whose every method is a no-op, so instrumentation costs
-one attribute check when disabled and never perturbs simulated-time
-arithmetic (pinned by ``tests/test_trace_integration.py``). Enable it with
+Tracing is ambient and off by default: the ``tracer`` field of the
+:mod:`repro.ambient` record is ``None``, so instrumentation costs one
+attribute read when disabled and never perturbs simulated-time arithmetic
+(pinned by ``tests/test_trace_integration.py``). Enable it with
 :func:`tracing`::
 
     from repro import trace
@@ -32,6 +32,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
+from repro.ambient import installed
 from repro.errors import SpanValidationError
 
 
@@ -122,9 +123,6 @@ class Tracer:
     monotonicity invariant the unit tests pin.
     """
 
-    #: Instrumentation sites check this before doing any work.
-    enabled: bool = True
-
     def __init__(self) -> None:
         self.spans: list[Span] = []
         #: Explicit causal edges ``(src, dst, kind)``; see :meth:`edge`.
@@ -178,6 +176,13 @@ class Tracer:
     def cursor(self, track: str) -> float:
         """Current cursor (end of the latest span) of a track."""
         return self._cursors[self.resolve(track)]
+
+    def wait_until(self, track: str, time_s: float) -> None:
+        """Idle ``track`` until ``time_s``: its next cursor-driven span starts
+        no earlier (a synchronization wait; the cursor never moves back)."""
+        resolved = self.resolve(track)
+        if time_s > self._cursors.get(resolved, 0.0):
+            self._cursors[resolved] = time_s
 
     def end_time(self) -> float:
         """Latest span end across all tracks (0.0 when empty)."""
@@ -307,35 +312,6 @@ class Tracer:
         return len(self.spans)
 
 
-class NullTracer(Tracer):
-    """The disabled tracer: every operation is a no-op.
-
-    Instrumentation guards on :attr:`enabled`, so with the null tracer
-    installed the per-call cost is one function call and one attribute
-    check — and no simulated-time arithmetic ever depends on it.
-    """
-
-    enabled = False
-
-    def emit(self, name: str, cat: str, **kwargs: Any) -> Span:  # type: ignore[override]
-        raise RuntimeError("NullTracer.emit called; guard instrumentation with `if tracer.enabled`")
-
-    def edge(self, src: Span, dst: Span, kind: str = "dep") -> None:  # type: ignore[override]
-        raise RuntimeError("NullTracer.edge called; guard instrumentation with `if tracer.enabled`")
-
-    @contextmanager
-    def context(self, prefix: str) -> Iterator[None]:
-        yield
-
-    @contextmanager
-    def shifted(self, offset_s: float) -> Iterator[None]:
-        yield
-
-    @contextmanager
-    def span(self, name: str, cat: str, **kwargs: Any) -> Iterator[None]:
-        yield
-
-
 def emit_cost_spans(
     tracer: Tracer,
     name: str,
@@ -344,7 +320,7 @@ def emit_cost_spans(
     cat: str,
     track: str = "layers",
     args: Mapping[str, Any] | None = None,
-) -> Span | None:
+) -> Span:
     """Emit a priced invocation as a parent span plus component children.
 
     ``cost`` is any :class:`~repro.kernels.plan.PlanCost`-shaped object
@@ -355,8 +331,6 @@ def emit_cost_spans(
     each other, which is exactly the dual-pipeline rule
     (``total = max(compute, dma, rlc) + overhead``) made visible.
     """
-    if not tracer.enabled:
-        return None
     start = tracer.cursor(track)
     merged: dict[str, Any] = {
         "flops": cost.flops,
@@ -387,60 +361,34 @@ def emit_cost_spans(
 
 def emit_layer_span(
     tracer: Tracer, layer: Any, direction: str, cost: Any, prev: Span | None
-) -> Span | None:
+) -> Span:
     """Emit one layer pass as a ``layer_<direction>`` cost span after ``prev``.
 
     ``direction`` is ``"fwd"`` or ``"bwd"``; ``layer`` needs ``name`` and
     ``type``. The span is chained to ``prev`` (the pass before it in
-    propagation order) by a ``dep`` edge. Returns the span the next pass
-    chains to: the new span, or ``prev`` when tracing is disabled.
+    propagation order) by a ``dep`` edge. Returns the new span, which the
+    next pass chains to.
     """
     parent = emit_cost_spans(
         tracer, f"{layer.name} {direction}", cost,
         cat=f"layer_{direction}", args={"layer_type": layer.type},
     )
-    if parent is None:
-        return prev
     if prev is not None:
         tracer.edge(prev, parent)
     return parent
-
-
-#: Shared disabled tracer; identity-compared by tests.
-NULL_TRACER = NullTracer()
-
-_active: Tracer = NULL_TRACER
-
-
-def active() -> Tracer:
-    """The ambient tracer (the shared :data:`NULL_TRACER` when disabled)."""
-    return _active
-
-
-def install(tracer: Tracer) -> Tracer:
-    """Make ``tracer`` ambient; returns the previously installed one."""
-    global _active
-    previous = _active
-    _active = tracer
-    return previous
 
 
 @contextmanager
 def tracing(tracer: Tracer | None = None) -> Iterator[Tracer]:
     """Enable tracing for the block; yields the (possibly new) tracer."""
     tr = tracer if tracer is not None else Tracer()
-    previous = install(tr)
-    try:
+    with installed(tracer=tr):
         yield tr
-    finally:
-        install(previous)
 
 
 @contextmanager
 def suspended() -> Iterator[None]:
-    """Temporarily disable tracing (e.g. around plan-search churn)."""
-    previous = install(NULL_TRACER)
-    try:
+    """Disable tracing for the block (e.g. around plan-search churn); the
+    other ambient instruments stay as they are."""
+    with installed(tracer=None):
         yield
-    finally:
-        install(previous)

@@ -15,21 +15,18 @@ from repro.errors import (
     ReproError,
     SnapshotMismatchError,
 )
+from repro import ambient
 from repro.faults import (
     BASE_SEED,
-    NULL_INJECTOR,
     PROFILES,
     TRANSIENT_SITES,
     FaultInjector,
     FaultPlan,
-    NullInjector,
-    active,
     charge_transient,
     conformance_seeds,
     injecting,
     parse_seed_string,
     seed_string,
-    suspended,
     zero_plan,
 )
 from repro.hw.clock import SimClock
@@ -147,29 +144,16 @@ class TestFaultPlan:
 
 class TestAmbientInjector:
     def test_disabled_by_default(self):
-        fi = active()
-        assert fi is NULL_INJECTOR
-        assert not fi.enabled
-
-    def test_null_injector_raises_on_use(self):
-        for call in (
-            lambda: NULL_INJECTOR.transient("dma", 1.0),
-            lambda: NULL_INJECTOR.mesh_degrade(),
-            lambda: NULL_INJECTOR.comm_scale(0, 1),
-            lambda: NULL_INJECTOR.failed_ranks(),
-        ):
-            with pytest.raises(RuntimeError, match="injector.enabled"):
-                call()
+        assert ambient.current().faults is None
 
     def test_injecting_installs_and_restores(self):
         plan = zero_plan(2, 2)
         with injecting(plan) as fi:
-            assert active() is fi
-            assert fi.enabled
-            with suspended():
-                assert active() is NULL_INJECTOR
-            assert active() is fi
-        assert active() is NULL_INJECTOR
+            assert ambient.current().faults is fi
+            with ambient.installed(faults=None):
+                assert ambient.current().faults is None
+            assert ambient.current().faults is fi
+        assert ambient.current().faults is None
 
     def test_injector_counts_transients(self):
         plan = FaultPlan.from_seed(seed_string("transient", 0), ranks=2)
@@ -199,6 +183,12 @@ class TestAmbientInjector:
         assert charge_transient("dma", clock, 1.0, track="dma") == 0
         assert clock.now == 0.0
 
+    def test_charge_transient_clean_invocation_adds_no_fault_category(self):
+        clock = SimClock()
+        with injecting(zero_plan(1, 1)):
+            assert charge_transient("dma", clock, 1.0, track="dma") == 0
+        assert clock.breakdown() == {}
+
     def test_charge_transient_charges_fault_category(self):
         plan = FaultPlan(
             seed="always", profile="transient", ranks=1, iterations=1,
@@ -206,9 +196,9 @@ class TestAmbientInjector:
         )
         clock = SimClock()
         with injecting(plan):
-            k = charge_transient("dma", clock, 1e-3, track="dma")
-        assert k > 0
-        assert clock.category_total("fault") == clock.now > 0
+            extra = charge_transient("dma", clock, 1e-3, track="dma")
+        assert extra > 0
+        assert clock.category_total("fault") == clock.now == extra
 
 
 class TestErrorTypes:

@@ -7,18 +7,14 @@ import json
 import numpy as np
 import pytest
 
+from repro import ambient
 from repro.metrics.registry import (
     Counter,
     Gauge,
     HighWaterMark,
     Histogram,
     MetricsRegistry,
-    NULL_METRICS,
-    NullRegistry,
-    active,
     collecting,
-    install,
-    suspended,
 )
 
 
@@ -142,44 +138,42 @@ class TestRegistry:
 
 class TestDisabledMode:
     def test_default_ambient_is_shared_null(self):
-        assert active() is NULL_METRICS
-        assert not active().enabled
-
-    def test_null_registry_mutators_raise(self):
-        null = NullRegistry()
-        for mutate in (
-            lambda: null.count("x", 1),
-            lambda: null.gauge("x", 1.0),
-            lambda: null.high_water("x", 1.0),
-            lambda: null.observe("x", 1.0),
-        ):
-            with pytest.raises(RuntimeError, match="guard instrumentation"):
-                mutate()
+        assert ambient.current().metrics is None
 
     def test_null_registry_labelled_is_noop(self):
-        with NULL_METRICS.labelled(collective="rhd"):
-            pass  # must not raise and must not record anything
-        assert len(NULL_METRICS) == 0
+        # A collective's label applies only while a registry collects;
+        # with collection off the collective runs, and prices, the same.
+        from repro.simmpi import SimComm, block_placement, rhd_allreduce
+        from repro.topology import TaihuLightFabric
+
+        def run():
+            comm = SimComm(TaihuLightFabric(n_nodes=4, nodes_per_supernode=2),
+                           block_placement(4, 2))
+            return rhd_allreduce(comm, [np.ones(8) for _ in range(4)])
+
+        off = run()
+        with collecting() as mx:
+            on = run()
+        assert off.time_s == on.time_s
+        assert mx.value("comm.steps", collective="rhd") == on.steps > 0
 
     def test_collecting_installs_and_restores(self):
-        assert active() is NULL_METRICS
+        assert ambient.current().metrics is None
         with collecting() as mx:
-            assert active() is mx
-            assert mx.enabled
-        assert active() is NULL_METRICS
+            assert ambient.current().metrics is mx
+        assert ambient.current().metrics is None
 
     def test_suspended_disables_inside_collecting(self):
         with collecting() as mx:
             mx.count("a", 1)
-            with suspended():
-                assert active() is NULL_METRICS
-            assert active() is mx
+            with ambient.installed(metrics=None):
+                assert ambient.current().metrics is None
+            assert ambient.current().metrics is mx
 
     def test_install_returns_previous(self):
-        mx = MetricsRegistry()
-        prev = install(mx)
-        try:
-            assert prev is NULL_METRICS
-            assert active() is mx
-        finally:
-            install(prev)
+        outer, inner = MetricsRegistry(), MetricsRegistry()
+        with collecting(outer):
+            with collecting(inner):
+                assert ambient.current().metrics is inner
+            assert ambient.current().metrics is outer
+        assert ambient.current().metrics is None

@@ -95,6 +95,32 @@ class TestCounterContents:
         assert mx.value("comm.bytes") > 0
 
 
+    def test_emitted_names_are_in_the_taxonomy(self):
+        from repro.metrics.registry import METRIC_NAMES
+        from repro.pipeline import PipelineTrainer
+        from repro.simmpi.p2p import P2PTransport
+
+        with collecting() as mx:
+            trainer = PipelineTrainer(
+                lambda rank=0: lenet.build(batch_size=4, rng=np.random.default_rng(7)),
+                2,
+                n_microbatches=2,
+                replicas=2,
+            )
+            trainer.step(1)
+            comm = SimComm(TaihuLightFabric(n_nodes=4, nodes_per_supernode=2),
+                           block_placement(4, 2))
+            p2p = P2PTransport(comm)
+            p2p.send(0, 1, np.ones(8))
+            p2p.isend(1, 2, np.ones(8))
+            p2p.wait_all(barrier_s=comm.clock.now)
+        names = set(mx.names())
+        assert {"comm.p2p_sends", "comm.p2p_bytes", "comm.p2p_hidden_s",
+                "comm.p2p_exposed_s", "pipeline.bubble_frac",
+                "pipeline.makespan_s", "pipeline.stage_imbalance"} <= names
+        assert names <= set(METRIC_NAMES), sorted(names - set(METRIC_NAMES))
+
+
 class TestTraceMetricsConsistency:
     """Counters and trace spans must describe the same simulated work."""
 
@@ -121,11 +147,9 @@ class TestTraceMetricsConsistency:
         assert span_bytes == pytest.approx(mx.value("dma.bytes", dir="model"))
 
     def test_session_layer_spans_match_trace_session(self):
-        # Forwards in layer order, then backwards last-to-first, dep-chained.
+        # Forwards in layer order, then backwards last-to-first, dep-chained;
+        # later iterations wait on the allreduce in both sessions alike.
         net = lenet.build(batch_size=16)
-        metered = Tracer()
-        collect_training_step(net, ranks=2, tracer=metered)
-        traced, _ = trace_training_step(net, ranks=2)
 
         def rank0_layers(tr):
             spans = [(s.name, s.start_s, s.dur_s) for s in tr.spans
@@ -134,8 +158,12 @@ class TestTraceMetricsConsistency:
                     if kind == "dep" and a.track == b.track == "rank0/layers"]
             return spans, deps
 
-        assert rank0_layers(metered) == rank0_layers(traced)
-        assert len(metered.by_category("solver_iter")) == 2
+        for iterations in (1, 2):
+            metered = Tracer()
+            collect_training_step(net, ranks=2, iterations=iterations, tracer=metered)
+            traced, _ = trace_training_step(net, ranks=2, iterations=iterations)
+            assert rank0_layers(metered) == rank0_layers(traced)
+            assert len(metered.by_category("solver_iter")) == 2 * iterations
 
 
 class TestRooflinePins:

@@ -10,18 +10,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro import ambient
 from repro.faults.injector import FaultInjector, injecting
 from repro.faults.plan import FaultPlan
-from repro.metrics.registry import (
-    MetricsRegistry,
-    NULL_METRICS,
-    active as metrics_active,
-    collecting,
-)
+from repro.metrics.registry import MetricsRegistry, collecting
 from repro.serve.arrivals import ArrivalPlan, Request
 from repro.serve.costmodel import TableCostModel
 from repro.serve.engine import ServeConfig, ServingEngine
-from repro.trace.tracer import NULL_TRACER, Tracer, active as tracer_active, tracing
+from repro.trace.tracer import Tracer, tracing
 
 #: Flat 20 ms forward regardless of batch — the "batching is free" abstraction
 #: of the four core groups, spelled out per batch so nothing extrapolates.
@@ -141,13 +137,9 @@ class TestFaults:
 
 class TestInertness:
     def test_disabled_collectors_allocate_no_state(self):
-        assert tracer_active() is NULL_TRACER
-        assert metrics_active() is NULL_METRICS
-        before = len(NULL_METRICS)
+        assert ambient.current() == ambient.Ambient()
         bare = run(poisson(index=2), max_batch=4)
-        assert tracer_active() is NULL_TRACER
-        assert len(NULL_METRICS) == before == 0
-        assert len(NULL_TRACER.spans) == 0
+        assert ambient.current() == ambient.Ambient()
         # ... and the result is bit-identical with collectors installed.
         tracer, registry = Tracer(), MetricsRegistry()
         with tracing(tracer), collecting(registry):

@@ -18,7 +18,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro import trace
+from repro import ambient, trace
 from repro.simmpi import SimComm, block_placement, rhd_allreduce, round_robin_placement
 from repro.simmpi.collectives.binomial import binomial_steps
 from repro.simmpi.collectives.rhd import rhd_steps
@@ -136,7 +136,7 @@ class TestFig7TraceFlag:
 
         f7.main([])
         capsys.readouterr()
-        assert trace.active() is trace.NULL_TRACER
+        assert ambient.current().tracer is None
 
 
 class TestTraceSession:
@@ -170,11 +170,26 @@ class TestTraceSession:
         with pytest.raises(ValueError):
             trace_training_step(net, ranks=4, nodes_per_supernode=3)
 
+    @pytest.mark.parametrize("ranks", [2, 8])
+    @pytest.mark.parametrize("iterations", [2, 3])
+    def test_no_dep_edge_runs_backwards(self, ranks, iterations):
+        # Each iteration's compute starts where the previous allreduce ends
+        # on every rank, so no dependency starts before its source ends.
+        from repro.frame.model_zoo import lenet
+
+        tr, summary = trace_training_step(
+            lenet.build(batch_size=16), ranks=ranks, iterations=iterations
+        )
+        violated = [(a.name, a.track, b.name, b.track) for a, b, kind in tr.edges
+                    if kind == "dep" and b.start_s < a.end_s]
+        assert violated == []
+        assert tr.end_time() == pytest.approx(summary.total_s, rel=1e-12)
+
     def test_ambient_tracer_restored(self):
         from repro.frame.model_zoo import lenet
 
         trace_training_step(lenet.build(batch_size=4), ranks=2)
-        assert trace.active() is trace.NULL_TRACER
+        assert ambient.current().tracer is None
 
     def test_each_layer_priced_once(self, monkeypatch):
         # Every rank and iteration lays out the same priced cost table.
