@@ -143,52 +143,6 @@ class Net:
             if t not in consumed
         ]
 
-    def forward_only(self) -> dict[str, np.ndarray]:
-        """One inference sweep: forward under the test phase, no gradients.
-
-        Temporarily switches the net to the ``test`` phase (BN running
-        statistics, dropout pass-through), runs :meth:`forward`, restores
-        the phase, and returns ``{output_blob: data}`` for every sink blob.
-        """
-        previous = self.phase
-        if previous != "test":
-            self.set_phase("test")
-        try:
-            self.forward()
-        finally:
-            if previous != "test":
-                self.set_phase(previous)
-        return {name: self.blobs[name].data for name in self.output_blobs()}
-
-    def demux_outputs(self, n: int | None = None) -> list[dict[str, np.ndarray]]:
-        """Split the current output blobs back into per-sample rows.
-
-        The serving engine batches ``n`` requests into one forward pass;
-        this undoes the batching: element ``i`` maps each output blob name
-        to row ``i`` of its data. Outputs whose leading dimension does not
-        match the batch (scalar losses, accuracy aggregates) are skipped —
-        they have no per-request meaning. ``n`` defaults to the first
-        demuxable output's leading dimension.
-        """
-        outputs = {name: self.blobs[name].data for name in self.output_blobs()}
-        batched = {
-            name: data
-            for name, data in outputs.items()
-            if getattr(data, "ndim", 0) >= 1
-        }
-        if n is None:
-            n = next((d.shape[0] for d in batched.values()), 0)
-        rows: list[dict[str, np.ndarray]] = []
-        for i in range(n):
-            rows.append(
-                {
-                    name: data[i]
-                    for name, data in batched.items()
-                    if data.shape[0] >= n
-                }
-            )
-        return rows
-
     def add_backward_hook(self, hook) -> None:
         """Register ``hook(layer, index)``, fired as each layer completes
         its backward pass (``index`` is the layer's forward position).

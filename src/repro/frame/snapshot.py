@@ -1,6 +1,7 @@
 """Model and solver snapshots (Caffe's ``snapshot``/``restore``).
 
-Weights are stored as a compressed ``.npz`` keyed by parameter blob name;
+Weights are stored as an uncompressed ``.npz`` keyed by parameter blob name
+(random float weights barely compress, so zlib only costs time);
 solver state (iteration counter, velocity buffers) goes alongside so
 training resumes exactly. Loading validates shapes against the target net
 and fails loudly on mismatches.
@@ -26,7 +27,7 @@ def save_weights(net: Net, path: str) -> None:
     arrays = {p.name: p.data for p in net.params}
     if not arrays:
         raise ShapeError(f"net {net.name!r} has no parameters to save")
-    np.savez_compressed(path, **arrays)
+    np.savez(path, **arrays)
 
 
 def load_weights(net: Net, path: str, *, strict: bool = True) -> list[str]:
@@ -66,7 +67,7 @@ def save_solver(solver: SGDSolver, path: str) -> None:
         v = solver._velocity.get(id(p))
         if v is not None:
             arrays[f"v::{p.name}"] = v
-    np.savez_compressed(path, **arrays)
+    np.savez(path, **arrays)
 
 
 def load_solver(solver: SGDSolver, path: str) -> None:
@@ -109,11 +110,6 @@ def load_solver(solver: SGDSolver, path: str) -> None:
             solver._velocity[id(p)] = arr.astype(np.float64)
         else:
             raise ShapeError(f"unknown snapshot key {key!r}")
-
-
-def snapshot_exists(prefix: str, iteration: int) -> bool:
-    """Whether ``{prefix}_iter_{iteration}.npz`` exists."""
-    return os.path.exists(f"{prefix}_iter_{iteration}.npz")
 
 
 def snapshot_path(prefix: str, iteration: int) -> str:

@@ -18,21 +18,12 @@ operating points hold (see ``tests/test_hw_dma.py``).
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from repro import ambient
 from repro.faults.injector import charge_transient
 from repro.hw.clock import SimClock
 from repro.hw.spec import SW26010Params, SW_PARAMS
-
-
-class DMAMode(enum.Enum):
-    """Transfer direction, matching the athread DMA intrinsics."""
-
-    GET = "dma_get"  # memory -> LDM
-    PUT = "dma_put"  # LDM -> memory
 
 
 class DMAEngine:

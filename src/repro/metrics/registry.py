@@ -62,10 +62,8 @@ METRIC_NAMES = (
     "comm.bucket_launches",  # counter: nonblocking bucket allreduces launched
     "comm.overlap_hidden_s",   # counter: comm seconds hidden behind backward
     "comm.overlap_exposed_s",  # counter: comm seconds left on the critical path
-    "comm.p2p_sends",       # counter: point-to-point transfers (blocking and isend)
+    "comm.p2p_sends",       # counter: point-to-point transfers
     "comm.p2p_bytes",       # counter, labels link=intra|cross: p2p wire traffic
-    "comm.p2p_hidden_s",    # counter: p2p seconds hidden behind compute
-    "comm.p2p_exposed_s",   # counter: p2p seconds left on the critical path
     "layer.passes",         # counter, labels dir=fwd|bwd, layer_type=...
     "solver.iterations",    # counter: completed solver iterations
     "faults.injected",      # counter, label kind=dma_corrupt|rlc_fail|...: faults fired

@@ -53,9 +53,6 @@ class RooflineVerdict:
     dma_frac: float
     rlc_frac: float
 
-    @property
-    def memory_bound(self) -> bool:
-        return self.bound in ("dma", "rlc")
 
 
 def classify_cost(cost: Any, params: SW26010Params | None = None) -> RooflineVerdict:

@@ -22,7 +22,7 @@ The collective family:
 from repro.simmpi.process import Placement
 from repro.simmpi.comm import SimComm, CollectiveResult
 from repro.simmpi.nonblocking import IAllreduceQueue, PendingCollective
-from repro.simmpi.p2p import P2PResult, P2PTransport, PendingTransfer, p2p_shift
+from repro.simmpi.p2p import P2PResult, P2PTransport, p2p_shift
 from repro.simmpi.reorder import block_placement, round_robin_placement
 from repro.simmpi.collectives import (
     ring_allreduce,
@@ -55,7 +55,6 @@ __all__ = [
     "PendingCollective",
     "P2PResult",
     "P2PTransport",
-    "PendingTransfer",
     "p2p_shift",
     "block_placement",
     "round_robin_placement",

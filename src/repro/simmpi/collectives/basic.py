@@ -8,50 +8,66 @@ algorithms against their compositions.
 
 All functions share the conventions of the allreduce family: ``buffers``
 is a per-rank list of NumPy arrays, data actually moves, and simulated
-time accrues on the communicator per lockstep step.
+time accrues on the communicator per lockstep step. Each is a step list
+(broadcast and reduce are the two halves of ``binomial_steps``; reduce-
+scatter and the power-of-two allgather the two halves of ``rhd_steps``)
+run by :func:`~repro.simmpi.collectives.schedule.run_steps` over one flat
+vector per rank. Reductions accumulate in float64; the copy-only
+collectives keep the caller's dtype, since a copy is exact in any dtype.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from itertools import islice
 
 import numpy as np
 
 from repro.errors import CommunicatorError
 from repro.simmpi.comm import CollectiveResult, SimComm
+from repro.simmpi.collectives.binomial import broadcast_steps, reduce_steps
 from repro.simmpi.collectives.reduce_ops import block_offsets, check_buffers
 from repro.simmpi.collectives.rhd import rhd_steps
-from repro.simmpi.collectives.schedule import run_steps
+from repro.simmpi.collectives.ring import ring_pass
+from repro.simmpi.collectives.schedule import Step, run_steps
+
+
+def scatter_steps(off: Sequence[int], itemsize: int, root: int = 0) -> Iterator[Step]:
+    """Linear scatter: one step per non-root rank ``r``, in rank order,
+    carrying elements ``[off[r], off[r+1])`` from ``root`` to ``r``."""
+    for r in range(len(off) - 1):
+        if r != root:
+            nbytes = float((off[r + 1] - off[r]) * itemsize)
+            yield Step(((root, r, nbytes),), 0.0, ((r, root, off[r], off[r + 1], False),))
+
+
+def gather_steps(off: Sequence[int], itemsize: int, root: int = 0) -> Iterator[Step]:
+    """Linear gather, the mirror of :func:`scatter_steps`: rank ``r``'s
+    elements ``[off[r], off[r+1])`` land at the same offsets on ``root``."""
+    for r in range(len(off) - 1):
+        if r != root:
+            nbytes = float((off[r + 1] - off[r]) * itemsize)
+            yield Step(((r, root, nbytes),), 0.0, ((root, r, off[r], off[r + 1], False),))
+
+
+def allgather_steps(p: int, n: int, itemsize: int) -> Iterator[Step]:
+    """Allgather of one ``n``-element chunk per rank, chunk ``r`` at
+    ``[r*n, (r+1)*n)``: RHD's recursive-doubling half for a power-of-two
+    ``p``, otherwise a ring that forwards one chunk per step."""
+    if p & (p - 1) == 0:
+        yield from islice(rhd_steps(p, n * p, itemsize), p.bit_length() - 1, None)
+    else:
+        yield from ring_pass([r * n for r in range(p + 1)], itemsize, 0, False)
 
 
 def broadcast(comm: SimComm, buffers: list[np.ndarray], root: int = 0) -> CollectiveResult:
     """Binomial-tree broadcast of ``buffers[root]`` to every rank."""
-    p = comm.p
     _validate(comm, buffers, root)
     n, itemsize = check_buffers(buffers)
-    nbytes = float(n * itemsize)
-    result = CollectiveResult()
-    # Relabel so the root is virtual rank 0.
-    actual = lambda v: (v + root) % p
-    d = 1
-    while d * 2 < p:
-        d *= 2
-    # Find the highest power of two <= p-1 steps: standard top-down tree.
-    have = {0}
-    while d >= 1:
-        pairs = []
-        moves = []
-        for v in sorted(have):
-            w = v + d
-            if w < p and w not in have:
-                pairs.append((actual(v), actual(w), nbytes))
-                moves.append(w)
-        for w in moves:
-            np.copyto(buffers[actual(w)], buffers[root])
-            have.add(w)
-        if pairs:
-            comm.account_step(result, pairs)
-        d //= 2
+    work = [b.flatten() for b in buffers]
+    result = run_steps(comm, work, broadcast_steps(comm.p, n, itemsize, root))
+    for dst, src in zip(buffers, work):
+        _write(dst, src)
     return result
 
 
@@ -59,30 +75,11 @@ def reduce(
     comm: SimComm, buffers: list[np.ndarray], root: int = 0, *, average: bool = False
 ) -> CollectiveResult:
     """Binomial-tree reduction into ``buffers[root]`` (others unchanged)."""
-    p = comm.p
     _validate(comm, buffers, root)
     n, itemsize = check_buffers(buffers)
-    nbytes = float(n * itemsize)
-    result = CollectiveResult()
-    virtual = lambda r: (r - root) % p
-    actual = lambda v: (v + root) % p
-    acc = {r: buffers[r].astype(np.float64, copy=True) for r in range(p)}
-    d = 1
-    while d < p:
-        pairs = []
-        moves = []
-        for v in range(p):
-            if v % (2 * d) == d:
-                dst = v - d
-                pairs.append((actual(v), actual(dst), nbytes))
-                moves.append((actual(dst), actual(v)))
-        for dst, src in moves:
-            acc[dst] = acc[dst] + acc[src]
-        if pairs:
-            comm.account_step(result, pairs, reduce_bytes=nbytes)
-        d *= 2
-    out = acc[root] / p if average else acc[root]
-    np.copyto(buffers[root], out.astype(buffers[root].dtype, copy=False))
+    work = [np.array(b, dtype=np.float64, copy=True).ravel() for b in buffers]
+    result = run_steps(comm, work, reduce_steps(comm.p, n, itemsize, root))
+    _write(buffers[root], work[root] / comm.p if average else work[root])
     return result
 
 
@@ -93,46 +90,38 @@ def scatter(comm: SimComm, sendbuf: np.ndarray, recv: list[np.ndarray], root: in
     implementations do; chunk boundaries follow MPI's near-equal split.
     """
     p = comm.p
-    if not 0 <= root < p:
-        raise CommunicatorError(f"root {root} out of range")
+    _check_root(p, root)
     if len(recv) != p:
         raise CommunicatorError(f"expected {p} recv buffers")
     flat = np.ascontiguousarray(sendbuf).ravel()
-    off = block_offsets(flat.size, p)
-    result = CollectiveResult()
+    off = block_offsets(flat.size, p).tolist()
     for r in range(p):
-        chunk = flat[off[r] : off[r + 1]]
-        if recv[r].size != chunk.size:
+        if recv[r].size != off[r + 1] - off[r]:
             raise CommunicatorError(
-                f"rank {r} recv buffer has {recv[r].size} elements, chunk has {chunk.size}"
+                f"rank {r} recv buffer has {recv[r].size} elements, "
+                f"chunk has {off[r + 1] - off[r]}"
             )
-        np.copyto(recv[r].reshape(-1), chunk.astype(recv[r].dtype, copy=False))
-        if r != root:
-            comm.account_step(result, [(root, r, float(chunk.nbytes))])
+    work = [flat if r == root else np.zeros_like(flat) for r in range(p)]
+    result = run_steps(comm, work, scatter_steps(off, flat.itemsize, root))
+    for r in range(p):
+        _write(recv[r], work[r][off[r] : off[r + 1]])
     return result
 
 
 def gather(comm: SimComm, send: list[np.ndarray], recvbuf: np.ndarray, root: int = 0) -> CollectiveResult:
     """Rank i's buffer lands in the i-th slot of ``recvbuf`` at the root."""
     p = comm.p
-    if not 0 <= root < p:
-        raise CommunicatorError(f"root {root} out of range")
+    _check_root(p, root)
     if len(send) != p:
         raise CommunicatorError(f"expected {p} send buffers")
-    total = sum(s.size for s in send)
-    if recvbuf.size != total:
+    off = np.cumsum([0] + [s.size for s in send]).tolist()
+    if recvbuf.size != off[-1]:
         raise CommunicatorError(
-            f"recvbuf has {recvbuf.size} elements, senders provide {total}"
+            f"recvbuf has {recvbuf.size} elements, senders provide {off[-1]}"
         )
-    result = CollectiveResult()
-    flat = recvbuf.reshape(-1)
-    pos = 0
-    for r in range(p):
-        chunk = send[r].reshape(-1)
-        flat[pos : pos + chunk.size] = chunk.astype(recvbuf.dtype, copy=False)
-        pos += chunk.size
-        if r != root:
-            comm.account_step(result, [(r, root, float(chunk.nbytes))])
+    work = _placed(send, off)
+    result = run_steps(comm, work, gather_steps(off, send[0].itemsize, root))
+    _write(recvbuf, work[root])
     return result
 
 
@@ -150,51 +139,13 @@ def allgather(comm: SimComm, buffers: list[np.ndarray], chunks: list[np.ndarray]
     if len(sizes) != 1:
         raise CommunicatorError("allgather requires equal chunk sizes")
     size = sizes.pop()
-    itemsize = chunks[0].itemsize
     for b in buffers:
         if b.size != size * p:
             raise CommunicatorError("output buffers must hold p chunks")
-    result = CollectiveResult()
-    # State: each rank holds a set of (owner) chunks, kept contiguous by
-    # virtual index.
-    held: list[dict[int, np.ndarray]] = [
-        {r: chunks[r].reshape(-1).astype(np.float64)} for r in range(p)
-    ]
-    if p & (p - 1) == 0:
-        d = 1
-        while d < p:
-            pairs = []
-            exchanges = []
-            for v in range(p):
-                w = v ^ d
-                if w < v:
-                    continue
-                bytes_v = sum(c.nbytes for c in held[v].values())
-                bytes_w = sum(c.nbytes for c in held[w].values())
-                pairs.append((v, w, float(max(bytes_v, bytes_w))))
-                exchanges.append((v, w))
-            snapshot = [dict(h) for h in held]
-            for v, w in exchanges:
-                held[v].update(snapshot[w])
-                held[w].update(snapshot[v])
-            comm.account_step(result, pairs)
-            d *= 2
-    else:
-        # Ring fallback: p-1 steps, each forwarding one chunk.
-        for t in range(p - 1):
-            pairs = []
-            moves = []
-            for r in range(p):
-                src_chunk = (r - t) % p
-                dst = (r + 1) % p
-                pairs.append((r, dst, float(size * itemsize)))
-                moves.append((dst, src_chunk, held[r][src_chunk]))
-            for dst, idx, data in moves:
-                held[dst][idx] = data
-            comm.account_step(result, pairs)
-    for r in range(p):
-        out = np.concatenate([held[r][i] for i in range(p)])
-        np.copyto(buffers[r].reshape(-1), out.astype(buffers[r].dtype, copy=False))
+    work = _placed(chunks, [r * size for r in range(p + 1)])
+    result = run_steps(comm, work, allgather_steps(p, size, chunks[0].itemsize))
+    for dst, src in zip(buffers, work):
+        _write(dst, src)
     return result
 
 
@@ -221,15 +172,32 @@ def reduce_scatter(comm: SimComm, buffers: list[np.ndarray], outputs: list[np.nd
     halving = islice(rhd_steps(p, n, itemsize), p.bit_length() - 1)
     result = run_steps(comm, work, halving)
     for r in range(p):
-        np.copyto(
-            outputs[r].reshape(-1),
-            work[r][off[r] : off[r + 1]].astype(outputs[r].dtype, copy=False),
-        )
+        _write(outputs[r], work[r][off[r] : off[r + 1]])
     return result
+
+
+def _write(dst: np.ndarray, flat: np.ndarray) -> None:
+    """Cast the flat ``flat`` into ``dst`` in place, whatever its strides."""
+    np.copyto(dst, flat.reshape(dst.shape), casting="unsafe")
+
+
+def _placed(parts: list[np.ndarray], off: list[int]) -> list[np.ndarray]:
+    """One ``off[-1]``-element vector per rank, in the parts' one dtype,
+    holding rank ``r``'s part at ``[off[r], off[r+1])`` and zeros elsewhere."""
+    if len({part.dtype for part in parts}) != 1:
+        raise CommunicatorError("every rank must contribute the same dtype")
+    work = [np.zeros(off[-1], dtype=parts[0].dtype) for _ in parts]
+    for r, part in enumerate(parts):
+        work[r][off[r] : off[r + 1]] = part.reshape(-1)
+    return work
+
+
+def _check_root(p: int, root: int) -> None:
+    if not 0 <= root < p:
+        raise CommunicatorError(f"root {root} out of range [0, {p})")
 
 
 def _validate(comm: SimComm, buffers: list[np.ndarray], root: int) -> None:
     if len(buffers) != comm.p:
         raise CommunicatorError(f"expected {comm.p} buffers, got {len(buffers)}")
-    if not 0 <= root < comm.p:
-        raise CommunicatorError(f"root {root} out of range [0, {comm.p})")
+    _check_root(comm.p, root)

@@ -19,7 +19,8 @@ Non-power-of-two rank counts use the standard MPICH fold: the first
 the core algorithm, and the folded ranks receive the result afterwards.
 
 :func:`rhd_steps` is the one copy of this schedule: :func:`rhd_allreduce`
-and ``basic.reduce_scatter`` execute it, ``trace.session.replay_rhd`` only
+executes it, ``basic.reduce_scatter`` and ``basic.allgather`` (power-of-two
+``p``) execute its two halves, and ``trace.session.replay_rhd`` only
 charges it (see :mod:`~repro.simmpi.collectives.schedule`).
 """
 

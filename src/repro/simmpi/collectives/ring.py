@@ -17,6 +17,26 @@ from repro.simmpi.collectives.reduce_ops import block_offsets
 from repro.simmpi.collectives.schedule import Step, collective, execute
 
 
+def ring_pass(off: list[int], itemsize: int, first: int, reduce: bool) -> Iterator[Step]:
+    """``p - 1`` ring steps over the ``p`` blocks ``[off[c], off[c+1])``.
+
+    In step ``t`` rank ``r`` sends block ``(r + first - t) mod p`` to rank
+    ``r+1``, which sums it in when ``reduce`` and copies it otherwise.
+    """
+    p = len(off) - 1
+    for t in range(p - 1):
+        chunks = [(r + first - t) % p for r in range(p)]
+        pairs = tuple(
+            (r, (r + 1) % p, float((off[c + 1] - off[c]) * itemsize))
+            for r, c in enumerate(chunks)
+        )
+        moves = tuple(
+            ((r + 1) % p, r, off[c], off[c + 1], reduce) for r, c in enumerate(chunks)
+        )
+        # All ranks reduce their received chunk concurrently.
+        yield Step(pairs, max(nb for _, _, nb in pairs) if reduce else 0.0, moves)
+
+
 def ring_steps(p: int, n: int, itemsize: int) -> Iterator[Step]:
     """Step list of the ring allreduce of ``n`` elements over ``p`` ranks.
 
@@ -26,18 +46,9 @@ def ring_steps(p: int, n: int, itemsize: int) -> Iterator[Step]:
     ``r`` owns chunk ``(r + 1) mod p``. Every step moves ~n/p bytes per rank.
     """
     off = block_offsets(n, p).tolist()
-    for first, reduce in ((0, True), (1, False)):
-        for t in range(p - 1):
-            chunks = [(r + first - t) % p for r in range(p)]
-            pairs = tuple(
-                (r, (r + 1) % p, float((off[c + 1] - off[c]) * itemsize))
-                for r, c in enumerate(chunks)
-            )
-            moves = tuple(
-                ((r + 1) % p, r, off[c], off[c + 1], reduce) for r, c in enumerate(chunks)
-            )
-            # All ranks reduce their received chunk concurrently.
-            yield Step(pairs, max(nb for _, _, nb in pairs) if reduce else 0.0, moves)
+    yield from ring_pass(off, itemsize, 0, True)
+    yield from ring_pass(off, itemsize, 1, False)
+
 
 @collective("ring")
 def ring_allreduce(

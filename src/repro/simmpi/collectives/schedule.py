@@ -1,11 +1,14 @@
 """Collective schedules as data: step lists and their two interpreters.
 
-An allreduce algorithm (``ring_steps``, ``binomial_steps``, ``rhd_steps``)
-only *generates* lockstep :class:`Step` s. :func:`execute` moves real data
-in float64 work copies of the caller's buffers and charges every step;
-:func:`account` only charges, pricing payloads too large to materialise.
-Both hand :meth:`SimComm.account_step <repro.simmpi.comm.SimComm.account_step>`
-the identical pair lists in the identical order, so simulated time, traffic
+A collective algorithm (``ring_steps``, ``binomial_steps``, ``rhd_steps``
+and the basic collectives' generators in
+:mod:`~repro.simmpi.collectives.basic`) only *generates* lockstep
+:class:`Step` s. :func:`run_steps` moves real data in one flat vector per
+rank and charges every step — :func:`execute` runs an allreduce that way
+in float64 work copies of the caller's buffers; :func:`account` only
+charges, pricing payloads too large to materialise. Both hand
+:meth:`SimComm.account_step <repro.simmpi.comm.SimComm.account_step>` the
+identical pair lists in the identical order, so simulated time, traffic
 counters and trace spans agree exactly between them.
 """
 

@@ -11,11 +11,8 @@ and follows the package's data/time split:
   payload into a (src, dst, tag)-keyed mailbox, and ``recv`` hands back
   exactly those bytes, so pipeline-stage training stays bit-identical to
   a single-rank run;
-* the *time* path is accounted — blocking ``send`` advances the
-  communicator clock by the priced transfer; nonblocking ``isend`` runs
-  the transfer immediately (data exact) while its network window is
-  scheduled serially after earlier requests, mirroring
-  :class:`~repro.simmpi.nonblocking.IAllreduceQueue`.
+* the *time* path is accounted — ``send`` advances the communicator
+  clock by the priced transfer.
 
 Fault hooks ride the existing ``"comm"`` transient site (a flaky link
 retries the transfer with identical data, time charged to the clock's
@@ -27,7 +24,7 @@ activation transfers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,36 +49,6 @@ class P2PResult:
     span: Span | None = None
 
 
-@dataclass
-class PendingTransfer:
-    """One in-flight (or completed) nonblocking p2p transfer."""
-
-    tag: str
-    src: int
-    dst: int
-    nbytes: float
-    #: When the payload became available (the launch instant).
-    ready_s: float
-    #: When the serial fabric actually began serving it.
-    start_s: float
-    #: Network occupancy (the blocking transfer's priced duration).
-    comm_s: float
-    cross_supernode: bool = False
-    done: bool = False
-    launch_span: Span | None = None
-    #: The service window's span, recorded at :meth:`P2PTransport.wait_all`.
-    service_span: Span | None = None
-
-    @property
-    def end_s(self) -> float:
-        return self.start_s + self.comm_s
-
-    def hidden_before(self, barrier_s: float) -> float:
-        """Seconds of this transfer's service that precede ``barrier_s``
-        (clamped to ``[0, comm_s]``, same rule as the collective queue)."""
-        return min(self.comm_s, max(0.0, min(self.end_s, barrier_s) - self.start_s))
-
-
 class P2PTransport:
     """Matched send/recv between ranks of one communicator.
 
@@ -90,27 +57,15 @@ class P2PTransport:
     comm:
         The communicator transfers are priced over (fabric, placement,
         cost model, clock, failed-rank set).
-    origin_s:
-        Timeline origin for the nonblocking schedule; defaults to the
-        communicator clock's current time.
     """
 
-    def __init__(self, comm: SimComm, origin_s: float | None = None) -> None:
+    def __init__(self, comm: SimComm) -> None:
         self.comm = comm
-        self.origin_s = comm.clock.now if origin_s is None else float(origin_s)
-        #: When the serial fabric next frees up for nonblocking transfers.
-        self.free_s = self.origin_s
-        #: Launched-but-unwaited nonblocking transfers, in launch order.
-        self.pending: list[PendingTransfer] = []
         self._mailbox: dict[tuple[int, int, str], list[np.ndarray]] = {}
-        #: The previous blocking transfer's span — the fabric serves one
+        #: The previous transfer's span — the fabric serves one
         #: message at a time, so each transfer depends on the last.
         self._prev_span: Span | None = None
-        self._last_service: Span | None = None
 
-    # ------------------------------------------------------------------ #
-    # blocking
-    # ------------------------------------------------------------------ #
     def _check_ranks(self, src: int, dst: int) -> None:
         p = self.comm.p
         for r in (src, dst):
@@ -193,115 +148,6 @@ class P2PTransport:
                 f"recv({src}->{dst}, tag={tag!r}) has no matching send"
             )
         return box.pop(0)
-
-    # ------------------------------------------------------------------ #
-    # nonblocking
-    # ------------------------------------------------------------------ #
-    def isend(
-        self,
-        src: int,
-        dst: int,
-        payload,
-        *,
-        ready_s: float | None = None,
-        tag: str = "",
-    ) -> PendingTransfer:
-        """Launch one nonblocking transfer.
-
-        The payload is delivered immediately (data path exact — a matching
-        :meth:`recv`/:meth:`irecv` sees the bytes the moment this returns)
-        while the network window is scheduled serially after earlier
-        nonblocking requests: ``start = max(ready_s, fabric free)``.
-        """
-        self._check_ranks(src, dst)
-        arr = np.array(payload, copy=True)
-        nbytes = float(arr.nbytes)
-        ready = self.origin_s if ready_s is None else float(ready_s)
-        t, slow_s = self._price(src, dst, nbytes)
-        req = PendingTransfer(
-            tag=tag,
-            src=src,
-            dst=dst,
-            nbytes=nbytes,
-            ready_s=ready,
-            start_s=max(ready, self.free_s),
-            comm_s=t,
-            cross_supernode=self.comm.crosses_supernode(src, dst),
-        )
-        self.free_s = req.end_s
-        self.pending.append(req)
-        self._mailbox.setdefault((src, dst, tag), []).append(arr)
-        self.comm.clock.advance(t, category="comm")
-        charge_comm(self.comm.clock, t, slow_s)
-        amb = ambient.current()
-        if amb.tracer is not None:
-            req.launch_span = amb.tracer.instant_event(
-                f"isend {src}->{dst}" + (f" {tag}" if tag else ""),
-                "collective_launch",
-                track="p2p/launch",
-                start=ready,
-                args={"src": src, "dst": dst, "bytes": nbytes, "tag": tag,
-                      "queued_s": req.start_s - ready},
-            )
-        if amb.metrics is not None:
-            amb.metrics.count("comm.p2p_sends", 1)
-            amb.metrics.count(
-                "comm.p2p_bytes",
-                nbytes,
-                link="cross" if req.cross_supernode else "intra",
-            )
-        return req
-
-    def irecv(self, src: int, dst: int, *, tag: str = "") -> np.ndarray:
-        """Nonblocking-side receive: the matched :meth:`isend` has already
-        delivered the bytes, so this is :meth:`recv` by another name —
-        completion timing lives on the :class:`PendingTransfer`."""
-        return self.recv(src, dst, tag=tag)
-
-    def wait_all(self, *, barrier_s: float | None = None) -> list[PendingTransfer]:
-        """Complete every pending nonblocking transfer.
-
-        Emits each transfer's serial-fabric service window as a
-        ``p2p_transfer`` span (with its ``ready_s`` release floor and a
-        chain edge to the previous window) and splits service into
-        hidden/exposed around ``barrier_s`` like the collective queue.
-        """
-        completed, self.pending = self.pending, []
-        amb = ambient.current()
-        tr, mx = amb.tracer, amb.metrics
-        for req in completed:
-            req.done = True
-            if tr is not None:
-                args = {
-                    "src": req.src,
-                    "dst": req.dst,
-                    "bytes": req.nbytes,
-                    "tag": req.tag,
-                    "ready_s": req.ready_s,
-                    "cross_supernode": req.cross_supernode,
-                }
-                if barrier_s is not None:
-                    args["hidden_s"] = req.hidden_before(barrier_s)
-                    args["exposed_s"] = req.comm_s - args["hidden_s"]
-                svc = tr.emit(
-                    f"xfer {req.src}->{req.dst}" + (f" {req.tag}" if req.tag else ""),
-                    "p2p_transfer",
-                    track="p2p/fabric",
-                    start=req.start_s,
-                    dur=req.comm_s,
-                    args=args,
-                )
-                if req.launch_span is not None:
-                    tr.edge(req.launch_span, svc)
-                if self._last_service is not None:
-                    tr.edge(self._last_service, svc)
-                self._last_service = svc
-                req.service_span = svc
-            if barrier_s is not None and mx is not None:
-                hidden = req.hidden_before(barrier_s)
-                mx.count("comm.p2p_hidden_s", hidden)
-                mx.count("comm.p2p_exposed_s", req.comm_s - hidden)
-        return completed
 
 
 def p2p_shift(comm: SimComm, buffers: list[np.ndarray]) -> CollectiveResult:

@@ -10,7 +10,6 @@ across supernodes) are just two instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.errors import CommunicatorError
 
@@ -35,11 +34,6 @@ class Placement:
             raise CommunicatorError(
                 "placement must be a permutation of 0..p-1 physical nodes"
             )
-
-    @classmethod
-    def from_sequence(cls, physical: Sequence[int], name: str = "custom") -> "Placement":
-        """Build a placement from any integer sequence (validated)."""
-        return cls(physical=tuple(int(x) for x in physical), name=name)
 
     @property
     def p(self) -> int:

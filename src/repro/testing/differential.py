@@ -221,7 +221,7 @@ def run_collective_case(
         report.failures.append(f"invariant: {exc}")
     schedule = registry.SCHEDULES.get(spec.name)
     if schedule is not None:
-        charged = account(registry.make_fuzz_comm(p), schedule(p, n, inputs[0].itemsize))
+        charged = account(registry.make_fuzz_comm(p), schedule(config, inputs[0].itemsize))
         differs = [k for k, v in vars(result).items() if vars(charged)[k] != v]
         if differs:
             report.ok = False

@@ -19,6 +19,7 @@ differential + invariant coverage from ``pytest -m conformance``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from collections.abc import Iterable
 from typing import Any, Callable
 
 import numpy as np
@@ -37,17 +38,25 @@ from repro.kernels.pooling import PoolingPlan
 from repro.kernels.transform import TensorTransformPlan
 from repro.simmpi.collectives.basic import (
     allgather,
+    allgather_steps,
     broadcast,
     gather,
+    gather_steps,
     reduce,
     reduce_scatter,
     scatter,
+    scatter_steps,
 )
-from repro.simmpi.collectives.binomial import binomial_allreduce, binomial_steps
+from repro.simmpi.collectives.binomial import (
+    binomial_allreduce,
+    binomial_steps,
+    broadcast_steps,
+    reduce_steps,
+)
 from repro.simmpi.collectives.reduce_ops import block_offsets
 from repro.simmpi.collectives.rhd import rhd_allreduce, rhd_steps
 from repro.simmpi.collectives.ring import ring_allreduce, ring_steps
-from repro.simmpi.collectives.schedule import Schedule
+from repro.simmpi.collectives.schedule import Step
 from repro.simmpi.collectives.topo_aware import topo_aware_allreduce
 from repro.simmpi.collectives.tuned import tuned_allreduce
 from repro.simmpi.comm import CollectiveResult, SimComm
@@ -605,12 +614,19 @@ for _name, _fn in [
 ]:
     register_collective(_allreduce_spec(_name, _fn))
 
-#: Step lists of the single-schedule allreduce specs: the fuzzer requires
-#: accounting them to charge exactly what executing them charged.
-SCHEDULES: dict[str, Schedule] = {
-    "ring_allreduce": ring_steps,
-    "binomial_allreduce": binomial_steps,
-    "rhd_allreduce": rhd_steps,
+#: Step lists of the collectives built from one schedule, as
+#: ``(config, itemsize) -> steps`` over the fuzz config's ``p``, ``n`` and
+#: ``root``: the fuzzer requires accounting them to charge exactly what
+#: executing them charged.
+SCHEDULES: dict[str, Callable[[dict[str, Any], int], Iterable[Step]]] = {
+    "ring_allreduce": lambda c, i: ring_steps(c["p"], c["n"], i),
+    "binomial_allreduce": lambda c, i: binomial_steps(c["p"], c["n"], i),
+    "rhd_allreduce": lambda c, i: rhd_steps(c["p"], c["n"], i),
+    "broadcast": lambda c, i: broadcast_steps(c["p"], c["n"], i, c["root"]),
+    "reduce": lambda c, i: reduce_steps(c["p"], c["n"], i, c["root"]),
+    "scatter": lambda c, i: scatter_steps(block_offsets(c["n"], c["p"]).tolist(), i, c["root"]),
+    "gather": lambda c, i: gather_steps([r * c["n"] for r in range(c["p"] + 1)], i, c["root"]),
+    "allgather": lambda c, i: allgather_steps(c["p"], c["n"], i),
 }
 
 

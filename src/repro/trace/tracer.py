@@ -129,7 +129,6 @@ class Tracer:
         self.edges: list[tuple[Span, Span, str]] = []
         self._cursors: dict[str, float] = defaultdict(float)
         self._prefix: list[str] = []
-        self._offset: float = 0.0
 
     # ------------------------------------------------------------------ #
     # track context
@@ -157,21 +156,6 @@ class Tracer:
             yield
         finally:
             self._prefix.pop()
-
-    @contextmanager
-    def shifted(self, offset_s: float) -> Iterator[None]:
-        """Add ``offset_s`` to explicit (clock-driven) start times.
-
-        Lets a session place a clocked phase (e.g. a collective whose
-        :class:`SimClock` starts at zero) after an already-emitted compute
-        phase on the shared timeline.
-        """
-        previous = self._offset
-        self._offset = previous + float(offset_s)
-        try:
-            yield
-        finally:
-            self._offset = previous
 
     def cursor(self, track: str) -> float:
         """Current cursor (end of the latest span) of a track."""
@@ -214,7 +198,7 @@ class Tracer:
         if start is None:
             start_s = self._cursors[resolved]
         else:
-            start_s = float(start) + self._offset
+            start_s = float(start)
         if not math.isfinite(start_s):
             raise SpanValidationError(
                 f"span {name!r} on track {track!r}: start must be finite, "
@@ -295,7 +279,7 @@ class Tracer:
                 default=start,
             )
             dur = max(descendant_end - start, 0.0)
-        self.emit(name, cat, track="/" + resolved, start=start - self._offset, dur=dur, args=args)
+        self.emit(name, cat, track="/" + resolved, start=start, dur=dur, args=args)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -351,7 +335,7 @@ def emit_cost_spans(
                 name,
                 comp_cat,
                 track=comp_track,
-                start=start - tracer._offset,
+                start=start,
                 dur=dur,
                 args={"of": cat, **extra},
             )

@@ -185,12 +185,12 @@ class TestDifferentialCatchesBrokenCollectives:
             assert not report.ok, str(report)
 
     def test_accounting_divergence_is_caught(self, monkeypatch):
-        from repro.simmpi.collectives.binomial import binomial_steps
         from repro.testing import registry
 
         # The RHD spec still executes RHD, but its registered step list is
         # now the binomial tree's: the accounting cross-check must fire.
-        monkeypatch.setitem(registry.SCHEDULES, "rhd_allreduce", binomial_steps)
+        binomial = registry.SCHEDULES["binomial_allreduce"]
+        monkeypatch.setitem(registry.SCHEDULES, "rhd_allreduce", binomial)
         spec = registry.get_collective("rhd_allreduce")
         caught = 0
         for i in range(5):

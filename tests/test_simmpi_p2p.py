@@ -4,7 +4,6 @@ The transport follows the package's data/time split: payload delivery is
 bitwise-exact and instantaneous (the simulator executes ranks in
 dependency order), while the priced transfer windows ride the fabric cost
 model. These tests pin both halves — mailbox semantics, clock accounting,
-the nonblocking serial-fabric schedule with its hidden/exposed split,
 endpoint validation, and the what-if ``p2p`` scale hook.
 """
 
@@ -17,7 +16,6 @@ from repro.errors import CollectiveTimeout, CommunicatorError
 from repro.simmpi import P2PTransport, p2p_shift
 from repro.testing.registry import make_fuzz_comm
 from repro.trace.scaling import CostScaling, scaling
-from repro.trace.tracer import Tracer, tracing
 
 
 @pytest.fixture()
@@ -78,43 +76,6 @@ class TestBlocking:
             transport.send(2, 0, np.zeros(4))
         # Transfers avoiding the dead rank still go through.
         transport.send(0, 1, np.zeros(4))
-
-
-class TestNonblocking:
-    def test_data_is_available_immediately(self, transport):
-        payload = np.arange(6, dtype=np.float64)
-        transport.isend(0, 1, payload, tag="g")
-        assert np.array_equal(transport.irecv(0, 1, tag="g"), payload)
-
-    def test_windows_are_serial_on_the_fabric(self, transport):
-        a = transport.isend(0, 1, np.zeros(4096), ready_s=0.0)
-        b = transport.isend(1, 2, np.zeros(4096), ready_s=0.0)
-        c = transport.isend(2, 3, np.zeros(4096), ready_s=b.end_s + 1.0)
-        assert a.start_s == 0.0
-        assert b.start_s == a.end_s  # queued behind a
-        assert c.start_s == c.ready_s  # fabric already free: starts at ready
-        assert transport.free_s == c.end_s
-
-    def test_wait_all_splits_hidden_and_exposed(self, transport):
-        req = transport.isend(0, 1, np.zeros(65536), ready_s=0.0)
-        transport.isend(1, 2, np.zeros(65536), ready_s=0.0)
-        done = transport.wait_all(barrier_s=req.end_s)
-        assert len(done) == 2 and all(r.done for r in done)
-        assert done[0].hidden_before(req.end_s) == pytest.approx(done[0].comm_s)
-        # The second window starts at the barrier: fully exposed.
-        assert done[1].hidden_before(req.end_s) == 0.0
-        assert transport.pending == []
-
-    def test_service_spans_carry_ready_floor_and_chain(self, transport):
-        tracer = Tracer()
-        with tracing(tracer):
-            transport.isend(0, 1, np.zeros(256), ready_s=0.5)
-            transport.isend(1, 2, np.zeros(256), ready_s=0.0)
-            transport.wait_all()
-        svc = [s for s in tracer.spans
-               if s.cat == "p2p_transfer" and s.track == "p2p/fabric"]
-        assert len(svc) == 2
-        assert all(s.start_s >= s.args["ready_s"] for s in svc)
 
 
 class TestShift:

@@ -132,15 +132,6 @@ class TestContext:
         with tr.context("rank0"):
             assert tr.resolve("/global") == "global"
 
-    def test_shifted_offsets_clock_driven_starts_only(self, tr):
-        with tr.shifted(100.0):
-            pinned = tr.emit("p", "collective_step", track="coll", start=1.0, dur=1.0)
-            cursor = tr.emit("c", "cpe_compute", track="cpe", dur=1.0)
-        assert pinned.start_s == 101.0
-        assert cursor.start_s == 0.0
-        after = tr.emit("q", "collective_step", track="coll2", start=1.0, dur=1.0)
-        assert after.start_s == 1.0
-
 
 class TestDisabledTracer:
     def test_default_ambient_tracer_is_null(self):
